@@ -241,9 +241,39 @@ def test_query_result_envelope(built):
     assert bad["fail_reason"]
 
 
-def test_lazy_load_mode_matches_memory(built):
+@pytest.fixture(scope="module")
+def multi_gen(ray_session, tmp_path_factory):
+    """One index per position mode: a 2-file base build over 4 salts
+    (bucket 1 gets no segments at all), two ``extend_index`` generations
+    (both clamp into the tail bucket, so its terms hold several runs)
+    and tombstones in the base and the tail."""
+    from torchtrajectory_ray.pipelines.build import delete_docs, extend_index
+
+    root = tmp_path_factory.mktemp("multigen")
+    base = fixtures.write_webpages(str(root / "g0"), 120, num_files=2)
+    gens = [
+        fixtures.write_webpages(str(root / f"g{g}"), 60, num_files=1)
+        for g in (1, 2)
+    ]
+    out = {}
+    for mode in ("first", "full"):
+        cfg = IndexConfig(num_term_shards=2, num_salts=4, store_positions=True,
+                          position_mode=mode, tokenize_batch_size=64)
+        idx = str(root / f"idx-{mode}")
+        build_index(base, idx, cfg)
+        for paths in gens:
+            extend_index(idx, paths, cfg)
+        live = QueryEngine(idx).find_in_range()
+        delete_docs(idx, live[::9])
+        out[mode] = idx
+    return out
+
+
+def test_lazy_load_mode_matches_memory(built, multi_gen):
     """load_mode="lazy" (term_id row-group pushdown probes) must produce
-    identical results to the in-memory path."""
+    bitwise-identical results to the in-memory columnar store — on a
+    one-generation index, and on multi-generation indexes with
+    tombstones, an empty bucket and unknown terms."""
     mem = QueryEngine(built)
     lazy = QueryEngine(built, load_mode="lazy")
     for q in _queries()[:6]:
@@ -252,6 +282,48 @@ def test_lazy_load_mode_matches_memory(built):
     # cache hit path
     q = _queries()[0]
     assert mem.topk(q["terms"], k=10) == lazy.topk(q["terms"], k=10)
+
+    phrase = ["needle_phrase_a", "needle_phrase_b"]
+    queries = [q["terms"] for q in _queries()] + [
+        phrase,
+        ["w0000", "zzz_unknown_term"],
+        ["zzz_unknown_term"],
+    ]
+    for mode, idx in multi_gen.items():
+        mem = QueryEngine(idx)
+        lazy = QueryEngine(idx, load_mode="lazy")
+        assert mem.searchers[1].seg_paths == []  # zero tables to join
+        tail = mem.searchers[-1]
+        tids, _ = mem.resolve_terms(["w0000"])
+        runs = tail._rows(tids[0])
+        assert len(runs) == 2 and all(len(r["blk_last"]) for r in runs)
+        ids = tail.postings(tids[0])[0]  # runs join in generation order
+        assert ids.size == sum(r["df"] for r in runs)
+        assert (np.diff(ids) > 0).all()
+        for terms in queries:
+            for method in ("wand", "exhaustive"):
+                for require_all in (False, True):
+                    got = mem.topk(terms, k=10, method=method,
+                                   require_all=require_all)
+                    assert got == lazy.topk(terms, k=10, method=method,
+                                            require_all=require_all)
+            assert mem.bool_or(terms).tolist() == lazy.bool_or(terms).tolist()
+            ids = [d for d, _ in mem.topk(terms, k=10)]
+            assert mem.explain_docs(terms, ids) == lazy.explain_docs(terms, ids)
+        hits = mem.phrase_and(phrase)
+        assert hits.size and hits.tolist() == lazy.phrase_and(phrase).tolist()
+        tids, _ = mem.resolve_terms(phrase)
+        if mode == "full":
+            assert mem.phrase_and_pos(phrase).tolist() == hits.tolist()
+            assert lazy.phrase_and_pos(phrase).tolist() == hits.tolist()
+        else:  # the searcher-level first-position chain
+            got = [s.phrase_and(tids).tolist() for s in mem.searchers]
+            assert got == [s.phrase_and(tids).tolist() for s in lazy.searchers]
+            assert sorted(sum(got, [])) == hits.tolist()
+        for s_mem, s_lazy in zip(mem.searchers, lazy.searchers):
+            for tid in tids:
+                for a, b in zip(s_mem.postings_pos(tid), s_lazy.postings_pos(tid)):
+                    assert a.tolist() == b.tolist()
 
 
 def test_batch_pipeline_honors_filters(ray_session, tmp_path):

@@ -415,6 +415,30 @@ def test_select_ranks_fast_path_matches_descent(ray_session, tmp_path, monkeypat
     assert fast_g == slow_g
 
 
+def test_group_cont_medians_fast_path_keeps_key_types(
+    ray_session, tmp_path, monkeypatch
+):
+    """_group_cont_medians' single-task fast path and its distributed
+    descent return equal dicts with the SAME key types — native ints for
+    an integer group column, not their str() forms."""
+    from torchtrajectory_ray.functions import rankselect
+    from torchtrajectory_ray.pipelines.events import _group_cont_medians
+
+    rng = np.random.default_rng(5)
+    frames = [
+        pd.DataFrame({"v": rng.normal(size=300),
+                      "g": rng.integers(0, 4, size=300).astype(np.int64)})
+        for _ in range(3)
+    ]
+    root = _write_parts(tmp_path, "gm", frames)
+    make = _ds_factory(f"{root}/gm.parquet", ["v", "g"])
+    fast = _group_cont_medians(make, "v", "g")
+    monkeypatch.setattr(rankselect, "LOCAL_SELECT_MAX_ROWS", 0)
+    slow = _group_cont_medians(make, "v", "g")
+    assert fast == slow and sorted(fast) == [0, 1, 2, 3]
+    assert [type(g) for g in sorted(fast)] == [type(g) for g in sorted(slow)]
+
+
 def test_select_ranks_single_row_both_paths(ray_session, tmp_path, monkeypatch):
     from torchtrajectory_ray.functions import rankselect
 

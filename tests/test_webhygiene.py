@@ -218,6 +218,9 @@ def test_kernel_idempotent_on_adversarial_urls(urls):
     once = wh.canonicalize_urls(arr)
     twice = wh.canonicalize_urls(once)
     assert once.to_pylist() == twice.to_pylist()
+    # large_string input canonicalizes the same (and never raises)
+    wide = wh.canonicalize_urls(pa.array(urls, pa.large_string()))
+    assert wide.to_pylist() == once.to_pylist()
     # non-absolute-URL rows become null, never raise
     for raw, c in zip(urls, once.to_pylist()):
         if "://" not in raw:

@@ -467,13 +467,9 @@ def extend_index(
     # merged stats + manifest (paths stored relative to out_dir)
     for r in seg_rows:
         r["path"] = manifest_relpath(r["path"], out_dir)
-    prev_docs = manifest.get(
-        "docs_paths",
-        [manifest_relpath(r["output"], out_dir) for r in manifest["lineage"]],
-    )
     manifest["lineage"] = manifest["lineage"] + lineage
     manifest["segments"] = manifest["segments"] + seg_rows
-    manifest["docs_paths"] = sorted(prev_docs) + sorted(
+    manifest["docs_paths"] = sorted(manifest["docs_paths"]) + sorted(
         manifest_relpath(r["output"], out_dir) for r in lineage
     )
     n_docs = manifest["stats"]["n_docs"] + sum(r["n_docs"] for r in lineage)
@@ -556,12 +552,7 @@ def delete_docs(index_dir: str, doc_ids) -> dict:
             "tombstones cannot be routed to salt buckets — rebuild it "
             "with build_index first"
         )
-    docs_paths = [
-        manifest_abspath(p, index_dir)
-        for p in manifest.get(
-            "docs_paths", [r["output"] for r in manifest["lineage"]]
-        )
-    ]
+    docs_paths = [manifest_abspath(p, index_dir) for p in manifest["docs_paths"]]
     found = (
         pads.dataset(docs_paths, format="parquet")
         .to_table(
@@ -607,13 +598,7 @@ def _stage_source_inputs(
     (one source) and ``merge_indexes`` (many)."""
     import numpy as np
 
-    docs_paths = [
-        manifest_abspath(p, index_dir)
-        for p in manifest.get(
-            "docs_paths",
-            [r["output"] for r in manifest["lineage"]],
-        )
-    ]
+    docs_paths = [manifest_abspath(p, index_dir) for p in manifest["docs_paths"]]
     tomb_path = os.path.join(index_dir, "tombstones.json")
     deleted = None
     if os.path.exists(tomb_path):

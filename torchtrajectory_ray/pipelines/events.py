@@ -1433,7 +1433,7 @@ def _group_cont_medians(
                 r0, r1 = int(np.floor(pos)), int(np.ceil(pos))
                 f = pos - np.floor(pos)
                 v0, v1 = float(sv[r0]), float(sv[r1])
-                g_out.append(str(g))
+                g_out.append(g)  # native key type, as the descent path
                 m_out.append(float(v0 if r0 == r1 else v0 + f * (v1 - v0)))
             return pa.table(
                 {"g": pa.array(g_out), "med": pa.array(m_out, pa.float64())}
@@ -1594,7 +1594,7 @@ def _robust_stats_by_type(sf_dir: str) -> tuple[dict, dict]:
             for g in np.unique(et):
                 grp = v[et == g]
                 med = _cont_median_sorted(np.sort(grp))
-                g_out.append(str(g))
+                g_out.append(g)  # native key type, as the descent path
                 m_out.append(med)
                 d_out.append(_cont_median_sorted(np.sort(np.abs(grp - med))))
             return pa.table(

@@ -66,10 +66,9 @@ def canonicalize_urls(urls: pa.ChunkedArray | pa.Array) -> pa.Array:
     """
     if isinstance(urls, pa.ChunkedArray):
         urls = urls.combine_chunks()
-    if not pa.types.is_string(urls.type) and not pa.types.is_large_string(
-        urls.type
-    ):
-        # e.g. the null-typed array pa.array([]) infers: cast, don't raise
+    if not pa.types.is_string(urls.type):
+        # e.g. the null-typed array pa.array([]) infers, or large_string
+        # (the joins below build string-typed pieces): cast, don't raise
         urls = urls.cast(pa.string())
     ok = pc.match_substring_regex(urls, r"^[A-Za-z][A-Za-z0-9+.\-]*://")
     urls = pc.if_else(

@@ -216,23 +216,13 @@ class QueryEngine:
                 columns=["term", "term_id", "df", "max_tf", "min_dl"]
             )  # empty corpus: no dictionary shards exist
         )
-        self.docs_dir = os.path.join(index_dir, "docs")
         # forward-index shards from the MANIFEST (not os.walk): a stale
         # docs shard from a rebuild with a removed input, or a crashed
         # extend's orphan gen-* dir, would collide with live doc_id ranges
         # and silently corrupt resolve()/filtered queries
-        if "docs_paths" in self.manifest:
-            self.docs_paths = [
-                manifest_abspath(p, index_dir)
-                for p in self.manifest["docs_paths"]
-            ]
-        else:  # legacy manifest: fall back to the directory walk
-            self.docs_paths = sorted(
-                os.path.join(root, p)
-                for root, _, names in os.walk(self.docs_dir)
-                for p in names
-                if p.endswith(".parquet")
-            )
+        self.docs_paths = [
+            manifest_abspath(p, index_dir) for p in self.manifest["docs_paths"]
+        ]
         self._terms = d["term"].tolist()  # dictionary scan support (J5)
         self._terms_arr = None  # lazy numpy view for fuzzy scans
         self._dictscan = None  # lazy trigram/prefix scan index (dictscan.py)
@@ -267,8 +257,6 @@ class QueryEngine:
                 manifest_abspath(row["path"], index_dir)
             )
         kwargs = dict(
-            index_dir=index_dir,
-            num_term_shards=self.num_term_shards,
             num_salts=self.num_salts,
             avgdl=self.avgdl,
             k1=self.k1,

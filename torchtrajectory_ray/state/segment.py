@@ -18,50 +18,98 @@ in-process for tests.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
+import pyarrow as pa
 import pyarrow.parquet as pq
 
 from torchtrajectory_ray.functions.codec import (
     concat_aranges,
-    delta_decode,
     delta_decode_concat,
-    varint_decode,
+    varint_decode_concat,
 )
 from torchtrajectory_ray.functions.scoring import make_scorer
 
+# compressed payloads (bytes) and per-128-posting block bounds (int lists)
+_BLOBS = ("doc_ids_blob", "tfs_blob", "doclens_blob", "pos_blob")
+_BLOCKS = ("blk_last", "blk_max_tf", "blk_min_dl")
+_COLS = ["term_id", "df", *_BLOBS, *_BLOCKS]
+
+
+class _RunStore:
+    """Posting runs as columns: segment rows joined in manifest order,
+    ``df`` a numpy array and every ``*_blob`` / ``blk_*`` column an
+    ``(offsets, values)`` pair of numpy views over its Arrow buffers.  One
+    stable argsort over ``term_id`` makes a term's runs one contiguous
+    range in manifest order (base build, then generations)."""
+
+    def __init__(self, tables: list[pa.Table]):
+        self.cols: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        if not tables:  # a bucket with no segments
+            self.order = self.tids = self.df = np.empty(0, dtype=np.int64)
+            return
+        tbl = pa.concat_tables(tables)
+        tid = tbl["term_id"].to_numpy()
+        self.order = np.argsort(tid, kind="stable")
+        self.tids = tid[self.order]
+        self.df = tbl["df"].to_numpy()
+        for c in _BLOBS + _BLOCKS:  # 64-bit offsets: no 2 GB cap on a bucket
+            wide = pa.large_binary() if c in _BLOBS else pa.large_list(pa.int64())
+            arr = tbl[c].cast(wide).combine_chunks()
+            off = np.frombuffer(arr.buffers()[1], np.int64)
+            vals = (
+                np.frombuffer(arr.buffers()[2] or b"", np.uint8)
+                if c in _BLOBS
+                else arr.values.to_numpy()
+            )
+            self.cols[c] = (off[arr.offset : arr.offset + len(arr) + 1], vals)
+
+    def rows(self, term_id: int) -> list[int]:
+        """Row indices of ``term_id``'s runs, in manifest order."""
+        lo = np.searchsorted(self.tids, term_id, "left")
+        hi = np.searchsorted(self.tids, term_id, "right")
+        return self.order[lo:hi].tolist()
+
+    def cells(self, col: str, rows: list[int]) -> list[np.ndarray]:
+        """Zero-copy views of ``col`` at ``rows``."""
+        off, vals = self.cols[col]
+        return [vals[off[r] : off[r + 1]] for r in rows]
+
 
 class SaltSearcher:
+    """One salt bucket's posting runs, held compressed as a
+    :class:`_RunStore` and decoded per probe (the reference's
+    compressedIndex, InvertedIndex.java:170-209).  Every probe reaches
+    them through :meth:`_runs` and slices the store's numpy views; no
+    segment row becomes a Python object."""
+
     def __init__(
         self,
-        index_dir: str,
         salt: int,
-        num_term_shards: int,
         num_salts: int,
         avgdl: float,
+        seg_paths: list[str],
+        docs_paths: list[str],
         k1: float = 1.2,
         b: float = 0.75,
         load_doc_meta: bool = False,
         load_mode: str = "memory",
         salt_shift: int | None = None,
-        seg_paths: list[str] | None = None,
-        docs_paths: list[str] | None = None,
         scorer: str = "bm25",
         deleted: np.ndarray | None = None,
         position_mode: str = "first",
     ):
-        """``load_mode``:
+        """``seg_paths`` / ``docs_paths``: this bucket's files from the
+        MANIFEST (base first, then generations), so a crashed extend's
+        orphan files are never served.  ``load_mode`` picks where the
+        :class:`_RunStore` comes from; the probes are the same:
 
-        - "memory" — all of this bucket's compressed runs live in the
-          actor heap (decoded per probe, like the reference's
-          compressedIndex, InvertedIndex.java:170-209).  Right when a
+        - "memory" — one store over all of this bucket's segments, built
+          at open from ``read_table`` with no per-row work.  Right when a
           bucket's segments fit a serving node.
-        - "lazy" — probes read only the probed term's rows from the
-          segment parquet via term_id row-group-statistics pushdown
-          (segments are written sorted by term_id with small row groups),
-          with a per-term cache.  The 10^12-doc path: actor memory stays
-          O(hot terms), storage does the lookups.
+        - "lazy" — one small store per probed term, read via term_id
+          row-group-statistics pushdown (segments are written sorted by
+          term_id with small row groups) and cached.  The 10^12-doc
+          path: actor memory stays O(hot terms), storage does lookups.
         """
         self.salt = salt
         self.avgdl = avgdl
@@ -77,45 +125,20 @@ class SaltSearcher:
         # pluggable similarity measure (scoring.SCORERS); bounds are
         # (max_tf, min_dl) so any registered scorer works on any index
         self.scorer = make_scorer(scorer, k1=k1, b=b)
-        self.load_mode = load_mode
         # how pos_blob is encoded ("first" = one int per posting, the
         # reference layout; "full" = every occurrence, Lucene layout) —
         # from the build manifest via the engine
         self.position_mode = position_mode
-        # compressed runs: term_id -> list of row dicts (kept compressed,
-        # decoded per probe like the reference)
-        self.runs: dict[int, list[dict]] = {}
-        self._lazy_cache: dict[int, list[dict]] = {}
+        self._term_stores: dict[int, _RunStore] = {}  # lazy mode only
         self._decoded_cache: dict[int, tuple] = {}
         self._pos_cache: dict[int, tuple] = {}
         self._posfull_cache: dict[int, tuple] = {}
-        if seg_paths is None:
-            # standalone fallback: discover by glob (base build first, then
-            # generations in order — dense doc ordinals grow per
-            # generation, so concatenated runs stay doc_id-sorted).  The
-            # engine instead passes the MANIFEST's segment list, so a
-            # crashed extend's orphan generation files are never served.
-            import glob as _glob
-
-            seg_dir = os.path.join(index_dir, "segments")
-            seg_paths = []
-            for shard in range(num_term_shards):
-                seg = shard * num_salts + salt
-                for path in [
-                    os.path.join(seg_dir, f"seg-{seg:05d}.parquet")
-                ] + sorted(
-                    _glob.glob(
-                        os.path.join(seg_dir, "gen-*", f"seg-{seg:05d}.parquet")
-                    )
-                ):
-                    if os.path.exists(path):
-                        seg_paths.append(path)
         self.seg_paths = list(seg_paths)
-        if load_mode == "memory":
-            for path in self.seg_paths:
-                tbl = pq.read_table(path)
-                for row in tbl.to_pylist():
-                    self.runs.setdefault(row["term_id"], []).append(row)
+        self._store = (
+            _RunStore([pq.read_table(p, columns=_COLS) for p in self.seg_paths])
+            if load_mode == "memory"
+            else None
+        )
         # optional doc metadata for predicate filters (lang / warc_ts) —
         # bucket-local, analog of the broadcast timeSpanLookup
         # (TrajectoryResolver.java:250-276) but partitioned, not global
@@ -131,17 +154,6 @@ class SaltSearcher:
                 filters = [("doc_id", ">=", lo)]
                 if salt < num_salts - 1:  # tail bucket is open-ended (clamp)
                     filters.append(("doc_id", "<", (salt + 1) << salt_shift))
-            if docs_paths is None:
-                # standalone fallback: walk docs/ (the engine instead
-                # passes the MANIFEST's docs shard list so stale/orphan
-                # shards are never read — same rule as seg_paths)
-                docs_dir = os.path.join(index_dir, "docs")
-                docs_paths = sorted(
-                    os.path.join(root, p)
-                    for root, _, files in os.walk(docs_dir)
-                    for p in files
-                    if p.endswith(".parquet")
-                )
             metas = [
                 pq.read_table(
                     p, columns=["doc_id", "lang", "warc_ts"], filters=filters
@@ -149,15 +161,13 @@ class SaltSearcher:
                 for p in docs_paths
             ]
             if metas:
-                import pyarrow as pa
-
                 t = pa.concat_tables(metas)
                 ids = t["doc_id"].to_numpy().astype(np.int64)
                 order = np.argsort(ids, kind="stable")
                 ts = t["warc_ts"].cast("int64").to_numpy(zero_copy_only=False)
                 self.doc_meta = {
                     "doc_id": ids[order],
-                    "lang": np.asarray(t["lang"].to_pylist(), dtype=object)[order],
+                    "lang": t["lang"].to_numpy(zero_copy_only=False)[order],
                     "ts": ts[order],
                 }
 
@@ -189,20 +199,29 @@ class SaltSearcher:
 
     _LAZY_CACHE_MAX = 4096
 
+    def _runs(self, term_id: int) -> tuple[_RunStore, list[int]]:
+        """(store, row indices) of ``term_id``'s runs — the one access
+        path of every probe, in both load modes."""
+        st = self._store or self._term_stores.get(term_id)
+        if st is None:  # lazy miss: pushdown-read only this term's rows
+            where = [("term_id", "==", term_id)]
+            st = _RunStore(
+                [pq.read_table(p, columns=_COLS, filters=where) for p in self.seg_paths]
+            )
+            if len(self._term_stores) >= self._LAZY_CACHE_MAX:
+                self._term_stores.clear()  # simple epoch eviction
+            self._term_stores[term_id] = st
+        return st, st.rows(term_id)
+
     def _rows(self, term_id: int) -> list[dict]:
-        if self.load_mode == "memory":
-            return self.runs.get(term_id, [])
-        hit = self._lazy_cache.get(term_id)
-        if hit is not None:
-            return hit
-        rows: list[dict] = []
-        for p in self.seg_paths:
-            t = pq.read_table(p, filters=[("term_id", "==", term_id)])
-            rows.extend(t.to_pylist())
-        if len(self._lazy_cache) >= self._LAZY_CACHE_MAX:
-            self._lazy_cache.clear()  # simple epoch eviction
-        self._lazy_cache[term_id] = rows
-        return rows
+        """One mapping per run: its ``df`` and views of its block-bound
+        lists (what WAND's upper bounds read)."""
+        st, rows = self._runs(term_id)
+        blocks = zip(*(st.cells(c, rows) for c in _BLOCKS))
+        return [
+            {"df": int(st.df[r]), **dict(zip(_BLOCKS, b))}
+            for r, b in zip(rows, blocks)
+        ]
 
     # --- posting access (J1: the fundamental probe) ---
 
@@ -217,17 +236,22 @@ class SaltSearcher:
         hit = self._decoded_cache.get(term_id)
         if hit is not None:
             return hit
-        rows = self._rows(term_id)
+        st, rows = self._runs(term_id)
         if not rows:
             e = np.empty(0, dtype=np.int64)
             return e, e, e
-        ids = np.concatenate([delta_decode(r["doc_ids_blob"], r["df"]) for r in rows])
-        tfs = np.concatenate([varint_decode(r["tfs_blob"], r["df"]) for r in rows])
-        dls = np.concatenate([varint_decode(r["doclens_blob"], r["df"]) for r in rows])
+        ids, tfs = self._ids_tfs(st, rows)
+        dls = varint_decode_concat(st.cells("doclens_blob", rows), ids.size)
         if len(self._decoded_cache) >= self._DECODED_CACHE_MAX:
             self._decoded_cache.clear()  # simple epoch eviction
         self._decoded_cache[term_id] = (ids, tfs, dls)
         return ids, tfs, dls
+
+    @staticmethod
+    def _ids_tfs(st: _RunStore, rows: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Decoded doc ids and tfs of ``rows``, runs concatenated."""
+        ids = delta_decode_concat(st.cells("doc_ids_blob", rows), st.df[rows])
+        return ids, varint_decode_concat(st.cells("tfs_blob", rows), ids.size)
 
     def term_doc_stats(
         self, term_id: int, want: np.ndarray
@@ -259,17 +283,18 @@ class SaltSearcher:
                 self._pos_cache.clear()
             self._pos_cache[term_id] = (ids, first)
             return ids, first
-        rows = self._rows(term_id)
+        st, rows = self._runs(term_id)
         if not rows:
             e = np.empty(0, dtype=np.int64)
             return e, e
-        if any(len(r["pos_blob"]) == 0 and r["df"] > 0 for r in rows):
+        blobs = st.cells("pos_blob", rows)
+        if any(len(p) == 0 for p in blobs):  # runs always hold df >= 1
             raise ValueError(
                 "index was built without store_positions=True; phrase "
                 "queries need the position payload"
             )
-        ids = np.concatenate([delta_decode(r["doc_ids_blob"], r["df"]) for r in rows])
-        pos = np.concatenate([varint_decode(r["pos_blob"], r["df"]) for r in rows])
+        ids = delta_decode_concat(st.cells("doc_ids_blob", rows), st.df[rows])
+        pos = varint_decode_concat(blobs, ids.size)
         if len(self._pos_cache) >= self._DECODED_CACHE_MAX:
             self._pos_cache.clear()
         self._pos_cache[term_id] = (ids, pos)
@@ -294,13 +319,12 @@ class SaltSearcher:
         hit = self._posfull_cache.get(term_id)
         if hit is not None:
             return hit
-        rows = self._rows(term_id)
+        st, rows = self._runs(term_id)
         if not rows:
             e = np.empty(0, dtype=np.int64)
             return e, np.zeros(1, dtype=np.int64), e
-        ids = np.concatenate([delta_decode(r["doc_ids_blob"], r["df"]) for r in rows])
-        tfs = np.concatenate([varint_decode(r["tfs_blob"], r["df"]) for r in rows])
-        pos_flat = delta_decode_concat([r["pos_blob"] for r in rows], tfs)
+        ids, tfs = self._ids_tfs(st, rows)
+        pos_flat = delta_decode_concat(st.cells("pos_blob", rows), tfs)
         offsets = np.concatenate(([0], np.cumsum(tfs)))
         if len(self._posfull_cache) >= self._DECODED_CACHE_MAX:
             self._posfull_cache.clear()
@@ -789,16 +813,12 @@ class SaltSearcher:
             return cand, np.empty(0, dtype=np.float64)
         ub = np.zeros(len(cand), dtype=np.float64)
         for tid, w, ids, tfs, dls in posts:
-            rows = self._rows(tid)
             # per-posting block-max bound (tighter than idf·(k1+1))
             off = 0
-            for r in rows:
-                n = r["df"]
-                blk_last = np.asarray(r["blk_last"], dtype=np.int64)
+            for r in self._rows(tid):
+                n, blk_last = r["df"], r["blk_last"]
                 blk_max = self.scorer.tf_norm(
-                    np.asarray(r["blk_max_tf"], dtype=np.int64),
-                    np.asarray(r["blk_min_dl"], dtype=np.int64),
-                    self.avgdl,
+                    r["blk_max_tf"], r["blk_min_dl"], self.avgdl
                 )
                 seg_ids = ids[off : off + n]
                 blk_of = np.searchsorted(blk_last, seg_ids)
