@@ -52,7 +52,6 @@ def _bench_cfg(num_cpus: int):
         num_term_shards=8,
         num_salts=8,
         tokenize_batch_size=4096,
-        tokenize_concurrency=num_cpus,
     )
 
 

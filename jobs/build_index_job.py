@@ -31,6 +31,13 @@ import sys
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
+# the flags that set IndexConfig fields: --compact-from / --merge-from
+# honor the CLI config only when one of these differs from its default
+CFG_FLAGS = (
+    "term_shards", "salts", "batch_size", "doc_id_mode", "bad_rows",
+    "store_positions", "tokenizer",
+)
+
 
 def main() -> None:
     ap = argparse.ArgumentParser()
@@ -47,8 +54,6 @@ def main() -> None:
     ap.add_argument("--term-shards", type=int, default=8)
     ap.add_argument("--salts", type=int, default=8)
     ap.add_argument("--batch-size", type=int, default=4096)
-    ap.add_argument("--concurrency", type=int, default=32)
-    ap.add_argument("--shuffle-mode", choices=["storage", "groupby"], default="storage")
     ap.add_argument("--doc-id-mode", choices=["dense", "url_hash"], default="dense")
     ap.add_argument("--bad-rows", choices=["raise", "drop"], default="raise")
     ap.add_argument("--store-positions", action="store_true")
@@ -181,27 +186,18 @@ def main() -> None:
         num_term_shards=args.term_shards,
         num_salts=args.salts,
         tokenize_batch_size=args.batch_size,
-        tokenize_concurrency=args.concurrency,
-        shuffle_mode=args.shuffle_mode,
         doc_id_mode=args.doc_id_mode,
         bad_rows=args.bad_rows,
         store_positions=args.store_positions,
         position_mode=args.position_mode,
         tokenizer=args.tokenizer,
     )
+    explicit = any(getattr(args, k) != ap.get_default(k) for k in CFG_FLAGS)
     if args.compact_from:
         # compaction defaults to the SOURCE index's config (tokenizer,
         # grid, bm25) — the CLI cfg is only honored when the user
         # explicitly set a config flag, otherwise the compacted index
         # would silently re-tokenize/re-shard under CLI defaults
-        cfg_flags = (
-            "term_shards", "salts", "batch_size", "concurrency",
-            "shuffle_mode", "doc_id_mode", "bad_rows", "store_positions",
-            "tokenizer",
-        )
-        explicit = any(
-            getattr(args, k) != ap.get_default(k) for k in cfg_flags
-        )
         manifest = compact_index(
             args.compact_from, args.out, cfg if explicit else None
         )
@@ -210,14 +206,6 @@ def main() -> None:
 
         # same explicit-flag rule as --compact-from: default to the FIRST
         # source's config unless the user set one
-        cfg_flags = (
-            "term_shards", "salts", "batch_size", "concurrency",
-            "shuffle_mode", "doc_id_mode", "bad_rows", "store_positions",
-            "tokenizer",
-        )
-        explicit = any(
-            getattr(args, k) != ap.get_default(k) for k in cfg_flags
-        )
         manifest = merge_indexes(
             args.merge_from.split(","), args.out, cfg if explicit else None
         )

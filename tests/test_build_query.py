@@ -32,7 +32,7 @@ def built(ray_session, tmp_path_factory):
     paths = fixtures.write_webpages(data_dir, N_DOCS, num_files=N_FILES)
     cfg = IndexConfig(
         num_term_shards=3, num_salts=4, block_size=16, tokenize_batch_size=64,
-        tokenize_concurrency=2, store_positions=True,
+        store_positions=True,
     )
     manifest = build_index(paths, out_dir, cfg)
     tbl = fixtures.webpages_table(N_DOCS)

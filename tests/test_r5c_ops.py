@@ -415,6 +415,29 @@ def test_select_ranks_fast_path_matches_descent(ray_session, tmp_path, monkeypat
     assert fast_g == slow_g
 
 
+def test_single_task_checks_its_batch_holds_every_row(ray_session):
+    """run_single_task hands its kernel ONE batch holding every row of a
+    multi-block dataset; a batch whose size differs from the caller's
+    row count (what a Ray change that split the batch would produce)
+    fails loud instead of returning a partial answer."""
+    import ray.data
+
+    from torchtrajectory_ray.functions.single_task import run_single_task
+
+    ds = ray.data.from_arrow(
+        pa.table({"x": pa.array(np.arange(100), pa.int64())})
+    ).repartition(4)
+
+    def total(t: pa.Table) -> pa.Table:
+        x = t["x"].to_numpy()
+        return pa.table({"n": [len(x)], "s": [int(x.sum())]})
+
+    got = run_single_task(ds, total, 100).to_pandas()
+    assert got.to_dict("records") == [{"n": 100, "s": 4950}]
+    with pytest.raises(Exception, match="expected all 101 rows in one batch"):
+        run_single_task(ds, total, 101).to_pandas()
+
+
 def test_group_cont_medians_fast_path_keeps_key_types(
     ray_session, tmp_path, monkeypatch
 ):

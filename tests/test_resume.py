@@ -20,7 +20,7 @@ from torchtrajectory_ray.pipelines.build import build_index
 
 N_DOCS = 200
 CFG = dict(num_term_shards=2, num_salts=2, block_size=16,
-           tokenize_batch_size=50, tokenize_concurrency=2)
+           tokenize_batch_size=50)
 
 
 def _digest(root: str) -> dict[str, str]:
@@ -79,8 +79,7 @@ def test_output_independent_of_sharding_and_batching(ray_session, tmp_path):
     pa_ = fixtures.write_webpages(str(tmp_path / "ca"), N_DOCS, num_files=4)
     pb_ = fixtures.write_webpages(str(tmp_path / "cb"), N_DOCS, num_files=7)
     ma = build_index(pa_, a_dir, IndexConfig(**CFG, doc_id_mode="url_hash"))
-    mb = build_index(pb_, b_dir, IndexConfig(**{**CFG, "tokenize_batch_size": 17,
-                                                "tokenize_concurrency": 3},
+    mb = build_index(pb_, b_dir, IndexConfig(**{**CFG, "tokenize_batch_size": 17},
                                              doc_id_mode="url_hash"))
     assert ma["stats"] == mb["stats"]
     da = {k: v for k, v in _digest(a_dir).items() if k.startswith("segments/")}
@@ -88,29 +87,15 @@ def test_output_independent_of_sharding_and_batching(ray_session, tmp_path):
     assert da == db
 
 
-def test_shuffle_modes_equivalent(ray_session, tmp_path):
-    """storage (external shuffle through out_dir) and groupby (object
-    store sort exchange) must produce byte-identical segment files."""
-    a_dir, b_dir = str(tmp_path / "a"), str(tmp_path / "b")
-    paths = fixtures.write_webpages(str(tmp_path / "c"), N_DOCS, num_files=4)
-    ma = build_index(paths, a_dir, IndexConfig(**CFG, shuffle_mode="storage"))
-    mb = build_index(paths, b_dir, IndexConfig(**CFG, shuffle_mode="groupby"))
-    assert ma["stats"] == mb["stats"]
-    da = {k: v for k, v in _digest(a_dir).items() if k.startswith("segments/")}
-    db = {k: v for k, v in _digest(b_dir).items() if k.startswith("segments/")}
-    assert da and da == db
-
-
 def test_output_independent_of_parallelism_dense(ray_session, tmp_path):
     """dense id mode (default): same input file list processed with a
-    different batch size / concurrency must produce byte-identical
+    different batch size must produce byte-identical
     segments — the determinism behind N-vs-4N rank identity (the input
     layout is fixed on a real cluster; only parallelism varies)."""
     a_dir, b_dir = str(tmp_path / "a"), str(tmp_path / "b")
     paths = fixtures.write_webpages(str(tmp_path / "c"), N_DOCS, num_files=4)
     ma = build_index(paths, a_dir, IndexConfig(**CFG))
-    mb = build_index(paths, b_dir, IndexConfig(**{**CFG, "tokenize_batch_size": 17,
-                                                 "tokenize_concurrency": 3}))
+    mb = build_index(paths, b_dir, IndexConfig(**{**CFG, "tokenize_batch_size": 17}))
     assert ma["stats"] == mb["stats"]
     da = {k: v for k, v in _digest(a_dir).items() if k.startswith("segments/")}
     db = {k: v for k, v in _digest(b_dir).items() if k.startswith("segments/")}
@@ -160,3 +145,34 @@ def test_extend_index_idempotent_rerun(ray_session, tmp_path):
     assert m2.get("resumed_complete") is True
     assert m2["stats"]["n_docs"] == n1 == N_DOCS
     assert QueryEngine(d).n_docs == N_DOCS
+
+
+def test_index_with_retired_config_keys_still_works(ray_session, tmp_path):
+    """Indexes built while IndexConfig still had ``shuffle_mode`` and
+    ``tokenize_concurrency`` record both in manifest["config"]: a rerun of
+    the same build must still short-circuit, and extend and compaction
+    must still accept the index."""
+    from torchtrajectory_ray.pipelines.build import compact_index, extend_index
+    from torchtrajectory_ray.state.engine import QueryEngine
+
+    base = fixtures.write_webpages(str(tmp_path / "c"), N_DOCS, num_files=4)
+    cfg = IndexConfig(**CFG)
+    d = str(tmp_path / "i")
+    build_index(base[:2], d, cfg)
+    manifest_path = os.path.join(d, "manifest.json")
+    with open(manifest_path) as f:
+        manifest = json.load(f)
+    manifest["config"].update(shuffle_mode="storage", tokenize_concurrency=4)
+    with open(manifest_path, "w") as f:
+        json.dump(manifest, f)
+
+    assert build_index(base[:2], d, cfg).get("resumed_complete") is True
+    m = extend_index(d, base[2:], cfg)
+    assert m["generation"] == 1 and m["stats"]["n_docs"] == N_DOCS
+    assert "shuffle_mode" in m["config"]  # the manifest keeps its record
+
+    c = str(tmp_path / "compact")
+    assert compact_index(d, c)["stats"]["n_docs"] == N_DOCS
+    src, dst = QueryEngine(d), QueryEngine(c)
+    for q in fixtures.query_set(20, N_DOCS):
+        assert src.topk(q["terms"], k=10) == dst.topk(q["terms"], k=10)

@@ -10,8 +10,10 @@ compression (`InvertedIndex.java:89-136`), posting-list set/count algebra
 pipelines over Arrow batches:
 
 - tokenize/extract  -> ``Dataset.map_batches`` (zero-copy pyarrow)
-- index build       -> ``flat_map`` postings -> salted ``groupby(term)``
-                       shuffle -> ``map_groups`` compress -> parquet segments
+- index build       -> fused per-file ``map_batches`` (extract, tokenize,
+                       combine) -> salted (term, salt) partial runs
+                       shuffled through storage -> one task per
+                       segment compresses -> parquet segments
 - query serving     -> stateful segment-searcher actor pool with
                        block-max upper-bound pruning (WAND / LORS shape)
 

@@ -41,8 +41,8 @@ class IndexConfig:
     the per-group memory bound is corpus_postings / (shards × salts).
 
     - ``block_size``: posting block length for block-max WAND metadata.
-    - ``tokenize_batch_size`` / ``tokenize_concurrency``: actor-pool
-      sizing for the tokenize+combine stage.
+    - ``tokenize_batch_size``: docs per combine batch inside the fused
+      build task (each batch becomes one set of partial runs).
     - ``store_positions``: also store a position payload per (term, doc)
       — analog of the reference's posting ``position`` payload
       (Torch/base/invertedIndex/InvertedIndex.java:23-25).
@@ -64,7 +64,6 @@ class IndexConfig:
     # in the manifest so query prep uses the build's tokenizer
     tokenizer: str = "default"
     tokenize_batch_size: int = 512
-    tokenize_concurrency: int = 4
     store_positions: bool = False
     position_mode: str = "first"  # "first" | "full" (see class docstring)
     # parquet row-group size of segment files: small groups let the LAZY
@@ -88,19 +87,6 @@ class IndexConfig:
     # count in lineage, the reference's malformed-row policy,
     # TrajReader.java:80-84)
     bad_rows: str = "raise"
-    # how partial posting runs reach their segment:
-    #   "storage" — external shuffle through the filesystem (the out_dir;
-    #               shared storage / S3 on a real cluster): each tokenize
-    #               task writes one partials parquet per input shard with
-    #               ONE ROW GROUP PER SEGMENT, each segment task then
-    #               reads only its row groups (selective IO).  No global
-    #               sort barrier, embarrassingly parallel on both sides,
-    #               per-shard checkpointed.  Partitioning assumption: all
-    #               workers see out_dir.
-    #   "groupby" — ray.data groupby("segment").map_groups shuffle through
-    #               the object store (sort-based exchange).
-    # Both produce byte-identical segment files.
-    shuffle_mode: str = "storage"
 
     @property
     def num_segments(self) -> int:

@@ -30,6 +30,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from torchtrajectory_ray.functions.single_task import run_single_task
+
 _BINS = 512
 _LOCAL_MAX = 65_536
 
@@ -41,16 +43,6 @@ _LOCAL_MAX = 65_536
 # remains the 100-TB shape for columns that outgrow a worker; identity
 # between the two paths is pytest-gated on the same corpus.
 LOCAL_SELECT_MAX_ROWS = 4_000_000
-
-
-def _local_table(ds, kernel) -> pd.DataFrame:
-    """Run ``kernel(pa.Table) -> pa.Table`` over the whole dataset as
-    ONE Ray task (not on the driver) and collect the small result."""
-    return (
-        ds.repartition(1)
-        .map_batches(kernel, batch_format="pyarrow", batch_size=None)
-        .to_pandas()
-    )
 
 
 def _fold_hist(
@@ -114,7 +106,7 @@ def select_ranks(
                  "k": pa.array(k[idx], pa.int64())}
             )
 
-        got = _local_table(ds, local)
+        got = run_single_task(ds, local, n).to_pandas()
         if key_col is None:
             return {int(r): float(v) for r, v in zip(got["r"], got["v"])}
         return {
@@ -333,7 +325,8 @@ def select_ranks_by_group(
     if not targets:
         return {}
 
-    if int(make_ds().count()) <= LOCAL_SELECT_MAX_ROWS:
+    n = int(make_ds().count())
+    if n <= LOCAL_SELECT_MAX_ROWS:
         groups = list(ranks_of)
 
         # per-group counts ride along for the same rank validation the
@@ -359,7 +352,7 @@ def select_ranks_by_group(
                  "ng": pa.array(ng_out, pa.int64())}
             )
 
-        got = _local_table(make_ds(), local)
+        got = run_single_task(make_ds(), local, n).to_pandas()
         out_fast: dict[object, dict[int, float]] = {}
         for gi, r, v, ng in zip(got["gi"], got["r"], got["v"], got["ng"]):
             if not (1 <= int(r) <= int(ng)):

@@ -6,6 +6,10 @@ Output layout under ``out_dir`` (all writes atomic: tmp + rename):
 
     docs/docs-<shard>.parquet (+ .lineage.json)   forward index, per input
                                                   file, resumable
+    partials/partials-<shard>.parquet (+ .rgmap.json)
+                                                  per-shard partial runs, one
+                                                  row group per segment (the
+                                                  shuffle's exchange files)
     segments/seg-<id>.parquet (+ .meta.json)      posting runs, per
                                                   (term_shard × salt) cell
     dict/*.parquet                                term dictionary:
@@ -30,16 +34,14 @@ from typing import Any
 
 import ray.data
 
-from torchtrajectory_ray.config import IndexConfig
+from torchtrajectory_ray.config import BM25Params, IndexConfig
 from torchtrajectory_ray.stages.postings import (
     FusedShardTask,
     SegmentWriter,
     assemble_segment,
     compute_salt_shift,
     config_tag,
-    tokenize_combine_task,
 )
-from torchtrajectory_ray.stages.prepare import PrepareFileTask
 
 
 def _file_identity(path: str) -> list:
@@ -154,6 +156,59 @@ def _build_dictionary(
     return sorted(r["path"] for r in dict_rows)
 
 
+def _fused_stage(
+    file_items: list[dict],
+    docs_dir: str,
+    partials_dir: str,
+    cfg: IndexConfig,
+    shift: int,
+) -> list[dict]:
+    """Stage 1 (fused): raw shard → docs shard + partials file in one
+    read pass, one stateless task per input file, per-shard checkpointed.
+    Returns the lineage rows."""
+
+    def fused(batch):
+        return FusedShardTask(docs_dir, partials_dir, cfg, shift)(batch)
+
+    return (
+        ray.data.from_items(file_items)
+        .map_batches(fused, batch_size=1, batch_format="pyarrow")
+        .take_all()
+    )
+
+
+def _assemble_stage(
+    lineage: list[dict],
+    seg_dir: str,
+    cfg: IndexConfig,
+    shift: int,
+    inputs_fp: str,
+) -> list[dict]:
+    """Stage 3: one task per segment (= term_shard × salt) merges its row
+    groups of every partials file in ``lineage`` into a segment file — the
+    reduce side of the external shuffle through out_dir.  A segment's
+    checkpoint is tagged with ``inputs_fp`` because it depends on every
+    input.  Returns the manifest rows of the non-empty segments."""
+    partial_paths = sorted(r["partials_output"] for r in lineage)
+    writer = SegmentWriter(seg_dir, cfg, shift, extra_tag=inputs_fp)
+
+    def assemble(batch):
+        import pyarrow as pa
+
+        out = []
+        for s in batch["segment"].to_pylist():
+            t = assemble_segment(int(s), partial_paths, writer)
+            if t is not None:
+                out.extend(t.to_pylist())
+        return pa.Table.from_pylist(out)
+
+    return (
+        ray.data.from_items([{"segment": s} for s in range(cfg.num_segments)])
+        .map_batches(assemble, batch_size=1, batch_format="pyarrow")
+        .take_all()
+    )
+
+
 def build_index(
     input_paths: list[str],
     out_dir: str,
@@ -166,7 +221,7 @@ def build_index(
     if os.path.exists(manifest_path):
         with open(manifest_path) as f:
             manifest = json.load(f)
-        if manifest["config"] != dataclasses.asdict(cfg):
+        if config_from_manifest(manifest) != cfg:
             raise ValueError(
                 f"{out_dir} holds a complete index built with a different "
                 "config; use a fresh out_dir (indexes are immutable)"
@@ -184,9 +239,10 @@ def build_index(
         # inputs fingerprint)
 
     docs_dir = os.path.join(out_dir, "docs")
+    partials_dir = os.path.join(out_dir, "partials")
     seg_dir = os.path.join(out_dir, "segments")
     dict_dir = os.path.join(out_dir, "dict")
-    for d in (docs_dir, seg_dir, dict_dir):
+    for d in (docs_dir, partials_dir, seg_dir, dict_dir):
         os.makedirs(d, exist_ok=True)
 
     if cfg.position_mode not in ("first", "full"):
@@ -216,46 +272,18 @@ def build_index(
         }
         for i, p in enumerate(sorted_inputs)
     ]
-    partials_lineage: list[dict] = []
-
-    if cfg.shuffle_mode == "storage":
-        # --- stage 1 (fused): raw shard → docs shard + partials file in
-        # one read pass.  Stateless → task pool; per-shard checkpointed.
-        partials_dir = os.path.join(out_dir, "partials")
-        os.makedirs(partials_dir, exist_ok=True)
-
-        def fused(batch):
-            return FusedShardTask(docs_dir, partials_dir, cfg, shift)(batch)
-
-        lineage = (
-            ray.data.from_items(file_items)
-            .map_batches(fused, batch_size=1, batch_format="pyarrow")
-            .take_all()
-        )
-        partials_lineage = [
-            {
-                "input": r["output"],
-                "output": r["partials_output"],
-                "n_runs": r["n_runs"],
-                "bytes": r["partials_bytes"],
-                "wall_s": r["partials_wall_s"],
-                "skipped": r["partials_skipped"],
-            }
-            for r in lineage
-        ]
-    else:
-        # --- stage 1: prepare docs (extract + tokenize-count) only; the
-        # exchange happens in ray.data groupby below.
-        def prepare_files(batch):
-            return PrepareFileTask(
-                docs_dir, cfg.check_invariant, cfg.bad_rows, config_tag(cfg, shift)
-            )(batch)
-
-        lineage = (
-            ray.data.from_items(file_items)
-            .map_batches(prepare_files, batch_size=1, batch_format="pyarrow")
-            .take_all()
-        )
+    lineage = _fused_stage(file_items, docs_dir, partials_dir, cfg, shift)
+    partials_lineage = [
+        {
+            "input": r["output"],
+            "output": r["partials_output"],
+            "n_runs": r["n_runs"],
+            "bytes": r["partials_bytes"],
+            "wall_s": r["partials_wall_s"],
+            "skipped": r["partials_skipped"],
+        }
+        for r in lineage
+    ]
     t1 = time.monotonic()
 
     # --- stage 2: global stats from lineage (no data pass — the analog of
@@ -276,51 +304,8 @@ def build_index(
     _write_json(os.path.join(out_dir, "stats.json"), stats)
 
     # --- stage 3: merge partial runs per segment (= term_shard × salt)
-    # and write segment files.  Two interchangeable physical shuffles
-    # (byte-identical outputs, see IndexConfig.shuffle_mode): "storage"
-    # (external shuffle through out_dir; both sides embarrassingly
-    # parallel, per-shard checkpoints) or "groupby" (ray.data sort
-    # exchange through the object store).
-    docs_paths = sorted(r["output"] for r in lineage)
-    writer = SegmentWriter(seg_dir, cfg, avgdl, shift=shift, extra_tag=inputs_fp)
-
-    if cfg.shuffle_mode == "storage":
-        partial_paths = sorted(r["output"] for r in partials_lineage)
-
-        def assemble(batch):
-            import pyarrow as pa
-
-            out = []
-            for s in batch["segment"].to_pylist():
-                t = assemble_segment(int(s), partial_paths, writer)
-                if t is not None:
-                    out.extend(t.to_pylist())
-            return pa.Table.from_pylist(out)
-
-        seg_rows = (
-            ray.data.from_items(
-                [{"segment": s} for s in range(cfg.num_segments)]
-            )
-            .map_batches(assemble, batch_size=1, batch_format="pyarrow")
-            .take_all()
-        )
-    else:
-        docs_ds = ray.data.read_parquet(docs_paths, columns=["doc_id", "text"])
-        partials = docs_ds.map_batches(
-            tokenize_combine_task,
-            fn_kwargs={"cfg": cfg, "shift": shift},
-            batch_format="pyarrow",
-            batch_size=cfg.tokenize_batch_size,
-        )
-
-        def write_segment_group(tbl):
-            return writer(tbl)
-
-        seg_rows = (
-            partials.groupby("segment")
-            .map_groups(write_segment_group, batch_format="pyarrow")
-            .take_all()
-        )
+    # and write segment files
+    seg_rows = _assemble_stage(lineage, seg_dir, cfg, shift, inputs_fp)
     t2 = time.monotonic()
 
     # --- stage 4: per-term-shard dictionaries (df summed across salt
@@ -386,8 +371,6 @@ def extend_index(
     (doc ids and postings identical; only file layout differs) — tested.
     """
     cfg = cfg or IndexConfig()
-    if cfg.shuffle_mode != "storage":
-        raise ValueError("extend_index supports shuffle_mode='storage'")
     if cfg.doc_id_mode != "dense":
         raise ValueError(
             "extend_index requires doc_id_mode='dense' (appended runs must "
@@ -396,7 +379,7 @@ def extend_index(
     manifest_path = os.path.join(out_dir, "manifest.json")
     with open(manifest_path) as f:
         manifest = json.load(f)
-    if manifest["config"] != dataclasses.asdict(cfg):
+    if config_from_manifest(manifest) != cfg:
         raise ValueError("config mismatch with the existing index")
     gen = int(manifest.get("generation", 0)) + 1
     n_prev = int(manifest.get("n_input_files", len(manifest["lineage"])))
@@ -425,43 +408,12 @@ def extend_index(
 
     t0 = time.monotonic()
     file_items = [
-        {
-            "path": p,
-            "doc_id_base": ((n_prev + i) << 34)
-            if cfg.doc_id_mode == "dense"
-            else -1,
-        }
+        {"path": p, "doc_id_base": (n_prev + i) << 34}
         for i, p in enumerate(new_sorted)
     ]
-
-    def fused(batch):
-        return FusedShardTask(docs_dir, partials_dir, cfg, shift)(batch)
-
-    lineage = (
-        ray.data.from_items(file_items)
-        .map_batches(fused, batch_size=1, batch_format="pyarrow")
-        .take_all()
-    )
-    partial_paths = sorted(r["partials_output"] for r in lineage)
-    gen_fp = inputs_fingerprint(new_sorted)
-    writer = SegmentWriter(
-        seg_dir, cfg, avgdl=0.0, shift=shift, extra_tag=gen_fp
-    )  # avgdl unused in bounds
-
-    def assemble(batch):
-        import pyarrow as pa
-
-        out = []
-        for s in batch["segment"].to_pylist():
-            t = assemble_segment(int(s), partial_paths, writer)
-            if t is not None:
-                out.extend(t.to_pylist())
-        return pa.Table.from_pylist(out)
-
-    seg_rows = (
-        ray.data.from_items([{"segment": s} for s in range(cfg.num_segments)])
-        .map_batches(assemble, batch_size=1, batch_format="pyarrow")
-        .take_all()
+    lineage = _fused_stage(file_items, docs_dir, partials_dir, cfg, shift)
+    seg_rows = _assemble_stage(
+        lineage, seg_dir, cfg, shift, inputs_fingerprint(new_sorted)
     )
 
     # merged stats + manifest (paths stored relative to out_dir)
@@ -512,11 +464,18 @@ def extend_index(
     return manifest
 
 
+# settings older indexes still record in manifest["config"]; neither
+# changes what a build writes, so they are ignored on read
+_RETIRED_CONFIG_KEYS = ("shuffle_mode", "tokenize_concurrency")
+
+
 def config_from_manifest(manifest: dict) -> IndexConfig:
     """Reconstruct the IndexConfig a manifest was built with."""
-    from torchtrajectory_ray.config import BM25Params
-
-    d = dict(manifest["config"])
+    d = {
+        k: v
+        for k, v in manifest["config"].items()
+        if k not in _RETIRED_CONFIG_KEYS
+    }
     bm25 = BM25Params(**d.pop("bm25"))
     return IndexConfig(bm25=bm25, **d)
 

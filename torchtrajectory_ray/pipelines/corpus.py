@@ -217,9 +217,7 @@ SEARCH_QUERIES: list[dict] = [
     {"query_id": 4, "q": "spark^2.0 join^0.5"},  # ^boost operator
 ]
 
-_INDEX_CFG = IndexConfig(
-    num_term_shards=4, num_salts=4, tokenize_batch_size=1024, tokenize_concurrency=4
-)
+_INDEX_CFG = IndexConfig(num_term_shards=4, num_salts=4, tokenize_batch_size=1024)
 
 
 def documents_index(sf_dir: str, cfg: IndexConfig = _INDEX_CFG) -> str:

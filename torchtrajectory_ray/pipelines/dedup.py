@@ -24,6 +24,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from torchtrajectory_ray.functions.single_task import run_single_task
+
 # all-pairs expansion cap: buckets up to this size emit the full pair
 # set; LARGER (degenerate) buckets fall back to star expansion — every
 # member pairs with the bucket's min doc_id — so no member is silently
@@ -1158,9 +1160,7 @@ def connected_components_ds(
         # size-aware dispatch as the windowed-kmeans fan-out.  The
         # distributed rounds below remain the path for pair graphs
         # that outgrow a worker.
-        return init.repartition(1).map_batches(
-            _components_local, batch_format="pyarrow", batch_size=None
-        )
+        return run_single_task(init, _components_local, n_rows)
     n_parts = int(max(2, min(64, n_rows // 4096 + 2)))
     rows = init.repartition(n_parts)
 

@@ -16,6 +16,8 @@ import pyarrow.dataset as pads
 import ray.data
 from ray.data.aggregate import Sum
 
+from torchtrajectory_ray.functions.single_task import run_single_task
+
 HOUR_US = 3_600_000_000
 
 
@@ -657,7 +659,7 @@ def exact_quantiles(
                  "v": pa.array(sv[rs - 1], pa.float64())}
             )
 
-        got = rankselect._local_table(ds, local)
+        got = run_single_task(ds, local, n).to_pandas()
         vmap = {int(r): float(v) for r, v in zip(got["r"], got["v"])}
         return pd.DataFrame(
             {"q": np.array(qs, np.float64),
@@ -1106,7 +1108,7 @@ def value_mad(sf_dir: str) -> pd.DataFrame:
             d = cont_med(np.sort(np.abs(v - m)))
             return pa.table({"med": pa.array([m]), "mad": pa.array([d])})
 
-        got = rankselect._local_table(make_ds(), local)
+        got = run_single_task(make_ds(), local, n).to_pandas()
         return pd.DataFrame(
             {"stat": ["median", "mad"],
              "value": np.round(
@@ -1419,7 +1421,8 @@ def _group_cont_medians(
     from torchtrajectory_ray.functions import rankselect
     from torchtrajectory_ray.functions.rankselect import select_ranks_by_group
 
-    if int(make_ds().count()) <= rankselect.LOCAL_SELECT_MAX_ROWS:
+    n = int(make_ds().count())
+    if n <= rankselect.LOCAL_SELECT_MAX_ROWS:
         # size-aware fast path: counting pass + grouped selection fold
         # into ONE single-task kernel (identical interpolation)
 
@@ -1439,7 +1442,7 @@ def _group_cont_medians(
                 {"g": pa.array(g_out), "med": pa.array(m_out, pa.float64())}
             )
 
-        got = rankselect._local_table(make_ds(), local)
+        got = run_single_task(make_ds(), local, n).to_pandas()
         return {g: float(m) for g, m in zip(got["g"], got["med"])}
 
     if counts is None:
@@ -1574,7 +1577,8 @@ def _robust_stats_by_type(sf_dir: str) -> tuple[dict, dict]:
 
     from torchtrajectory_ray.functions import rankselect
 
-    if int(make_ds().count()) <= rankselect.LOCAL_SELECT_MAX_ROWS:
+    n = int(make_ds().count())
+    if n <= rankselect.LOCAL_SELECT_MAX_ROWS:
         # size-aware fused fast path: both chained grouped selections
         # (median, then median of |v − median|) in ONE single-task sort
         # kernel instead of five full corpus passes — identical
@@ -1603,7 +1607,7 @@ def _robust_stats_by_type(sf_dir: str) -> tuple[dict, dict]:
                  "mad": pa.array(d_out, pa.float64())}
             )
 
-        got = rankselect._local_table(make_ds(), local)
+        got = run_single_task(make_ds(), local, n).to_pandas()
         meds = {g: float(m) for g, m in zip(got["g"], got["med"])}
         mads = {g: float(m) for g, m in zip(got["g"], got["mad"])}
         _ROBUST_STATS_CACHE[sf_dir] = (meds, mads)

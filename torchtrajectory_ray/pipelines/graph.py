@@ -38,6 +38,8 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
+from torchtrajectory_ray.functions.single_task import run_single_task
+
 DAMPING = 0.85
 N_PARTS = 256
 
@@ -236,16 +238,6 @@ def _propagate(
 LOCAL_GRAPH_MAX_ROWS = 4_000_000
 
 
-def _run_local(edges: ray.data.Dataset, kernel) -> pd.DataFrame:
-    """Run ``kernel(pa.Table) -> pa.Table`` over the whole edge set as
-    ONE task (not on the driver) and collect the small result."""
-    return (
-        edges.repartition(1)
-        .map_batches(kernel, batch_format="pyarrow", batch_size=None)
-        .to_pandas()
-    )
-
-
 def _edge_index(t: pa.Table, extra_nodes: np.ndarray | None = None):
     """Dense node indexing for the local kernels: returns
     ``(nodes, src_idx, dst_idx)``.  Symmetric edges mean every graph
@@ -283,7 +275,8 @@ def personalized_pagerank(
     n_seeds = float(len(seed_arr))
     edges = _purchase_edges(sf_dir)
 
-    if 0 < edges.count() <= LOCAL_GRAPH_MAX_ROWS:
+    n_edges = edges.count()
+    if 0 < n_edges <= LOCAL_GRAPH_MAX_ROWS:
 
         def local(t: pa.Table) -> pa.Table:
             nodes, src_idx, dst_idx = _edge_index(t, seed_arr)
@@ -306,7 +299,7 @@ def personalized_pagerank(
                  "ppr": pa.array(np.round(r[keep], 6), pa.float64())}
             )
 
-        return _run_local(edges, local).sort_values(
+        return run_single_task(edges, local, n_edges).to_pandas().sort_values(
             "node", kind="mergesort"
         ).reset_index(drop=True)
 
@@ -553,7 +546,8 @@ def purchase_bfs(
 
     seed_arr = np.asarray(seeds, np.int64)
 
-    if 0 < edges.count() <= LOCAL_GRAPH_MAX_ROWS:
+    n_edges = edges.count()
+    if 0 < n_edges <= LOCAL_GRAPH_MAX_ROWS:
         n_hops = hops
 
         def local(t: pa.Table) -> pa.Table:
@@ -571,7 +565,7 @@ def purchase_bfs(
                  "dist": pa.array(dist[keep], pa.int64())}
             )
 
-        return _run_local(edges, local).sort_values(
+        return run_single_task(edges, local, n_edges).to_pandas().sort_values(
             "node", kind="mergesort"
         ).reset_index(drop=True)
 
@@ -676,7 +670,8 @@ def purchase_hits(sf_dir: str, iters: int = 2) -> pd.DataFrame:
     Scores rounded to 6 dp; rows (kind, node)-ascending."""
     edges = _purchase_edges(sf_dir)
 
-    if 0 < edges.count() <= LOCAL_GRAPH_MAX_ROWS:
+    n_edges = edges.count()
+    if 0 < n_edges <= LOCAL_GRAPH_MAX_ROWS:
 
         def local(t: pa.Table) -> pa.Table:
             empty = pa.table(
@@ -717,7 +712,7 @@ def purchase_hits(sf_dir: str, iters: int = 2) -> pd.DataFrame:
                 }
             )
 
-        out = _run_local(edges, local)
+        out = run_single_task(edges, local, n_edges).to_pandas()
         return (
             out.sort_values(["kind", "node"], kind="mergesort")
             .reset_index(drop=True)
@@ -792,7 +787,8 @@ def purchase_pagerank(
     unrolled-SQL oracle's recurrence; scores rounded to 6 dp."""
     edges = _purchase_edges(sf_dir)
 
-    if 0 < edges.count() <= LOCAL_GRAPH_MAX_ROWS:
+    n_edges = edges.count()
+    if 0 < n_edges <= LOCAL_GRAPH_MAX_ROWS:
 
         def local(t: pa.Table) -> pa.Table:
             if len(t) == 0:
@@ -813,7 +809,7 @@ def purchase_pagerank(
                  "pr": pa.array(np.round(r, 6), pa.float64())}
             )
 
-        return _run_local(edges, local).sort_values(
+        return run_single_task(edges, local, n_edges).to_pandas().sort_values(
             "node", kind="mergesort"
         ).reset_index(drop=True)
 

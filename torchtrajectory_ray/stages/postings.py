@@ -1,23 +1,33 @@
-"""Posting-list construction stages: tokenize+combine ``map_batches`` and
-the (term_id, salt)-keyed shuffle with per-segment atomic writes.
+"""Posting-list construction: the fused per-shard stage and the
+segment-keyed external shuffle through storage, with per-segment atomic
+writes.
 
 Parity target: the reference's index-build aggregate — for each edge
 occurrence append (trajId, position) into a per-edge in-heap map, then
 sort + delta/FastPFOR-compress each list (/root/reference/src/main/java/au/
 edu/rmit/bdm/Torch/base/invertedIndex/EdgeInvertedIndex.java:41-49,
 InvertedIndex.java:89-136).  Here the "HashMap" is a real distributed
-shuffle:
+shuffle whose exchange fabric is the index directory itself:
 
-  docs → map_batches(TokenizeCombine)      # flatten + PRE-AGGREGATE per
-                                           # batch: per-(term, salt)
-                                           # compressed partial runs, so
-                                           # the shuffle moves varint
-                                           # blobs, not raw posting rows
-       → groupby("segment")                # the one all-to-all exchange;
-                                           # segment = term_shard × salt
-       → map_groups(SegmentWriter)         # merge partials per (term,
-                                           # salt), block-max metadata,
-                                           # atomic parquet + manifest row
+  raw shard → FusedShardTask               # one task per input file:
+                prepare_file               #   docs shard + token lists
+                TokenizeCombine            #   PRE-AGGREGATE per batch into
+                                           #   per-(term, salt) compressed
+                                           #   partial runs (varint blobs,
+                                           #   not raw posting rows)
+                PartialsWriter             #   partials parquet, ONE ROW
+                                           #   GROUP PER SEGMENT + map
+  segment   → assemble_segment             # one task per segment (=
+                                           # term_shard × salt) reads only
+                                           # its row groups of every
+                                           # partials file
+                SegmentWriter              #   merge runs per (term, salt),
+                                           #   block-max metadata, atomic
+                                           #   parquet + manifest row
+
+Both sides are embarrassingly parallel with no global sort barrier and
+checkpoint per partition.  Partitioning assumption: every worker sees
+the index directory (shared storage / S3 on a real cluster).
 
 Salting is by doc_id high bits (disjoint ordered ranges), so a head
 term's postings split into bounded runs across segments and runs merge
@@ -45,7 +55,8 @@ from torchtrajectory_ray.functions.codec import (
     varint_decode_concat,
     varint_encode_multi,
 )
-from torchtrajectory_ray.functions.text import TermHasher
+from torchtrajectory_ray.functions.text import TermHasher, get_tokenizer
+from torchtrajectory_ray.stages.prepare import prepare_file
 
 def _pin_arrow_single_thread() -> None:
     """Called once per worker process by every task entrypoint: Arrow's
@@ -144,35 +155,27 @@ class FusedShardTask:
         cfg: IndexConfig,
         shift: int,
     ):
-        from torchtrajectory_ray.stages.prepare import PrepareFileTask
-
-        self.prepare = PrepareFileTask(
-            docs_dir,
-            cfg.check_invariant,
-            cfg.bad_rows,
-            config_tag(cfg, shift),
-            tokenizer=cfg.tokenizer,
-        )
-        self.partials = PartialsWriter(partials_dir, cfg, shift)
+        self.docs_dir = docs_dir
         self.cfg = cfg
+        self.cfg_tag = config_tag(cfg, shift)
+        self.partials = PartialsWriter(partials_dir, cfg, shift)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        """``batch`` rows are file descriptors: ``path`` plus
+        ``doc_id_base`` (negative = no base, ids come from the url)."""
         _pin_arrow_single_thread()
-        bases = (
-            [None if b < 0 else b for b in batch["doc_id_base"].to_pylist()]
-            if "doc_id_base" in batch.column_names
-            else [None] * batch.num_rows
-        )
         rows = []
-        for path, base in zip(batch["path"].to_pylist(), bases):
-            prep_lin = self.prepare._one(path, base)
-            part_lin = self.partials._one(
-                prep_lin["output"],
-                docs_tbl=self.prepare.last_docs,
-                tok_lists=self.prepare.last_tokens,
+        for path, base in zip(
+            batch["path"].to_pylist(), batch["doc_id_base"].to_pylist()
+        ):
+            prep_lin, docs, tok_lists = prepare_file(
+                path,
+                self.docs_dir,
+                self.cfg,
+                self.cfg_tag,
+                doc_id_base=None if base < 0 else base,
             )
-            self.prepare.last_docs = None
-            self.prepare.last_tokens = None
+            part_lin = self.partials._one(prep_lin["output"], docs, tok_lists)
             rows.append(
                 {
                     **prep_lin,
@@ -187,8 +190,8 @@ class FusedShardTask:
 
 
 class TokenizeCombine:
-    """Actor-pool stage: docs batch → compressed per-(term, salt) partial
-    posting runs.
+    """Tokenized docs batch → compressed per-(term, salt) partial posting
+    runs (the combine step of :class:`PartialsWriter`).
 
     The flatten + within-batch combine is fully vectorized (factorize +
     lexsort + run-length boundaries); the only Python-level loops are
@@ -199,23 +202,15 @@ class TokenizeCombine:
     """
 
     def __init__(self, cfg: IndexConfig, shift: int):
-        from torchtrajectory_ray.functions.text import get_tokenizer
-
         self.cfg = cfg
         self.shift = shift
         self.hasher = TermHasher()
-        self.tokenize = get_tokenizer(cfg.tokenizer)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        doc_ids = batch["doc_id"].to_numpy().astype(np.int64)
-        texts = batch["text"].to_pylist()
-        return self.combine_tokens(doc_ids, [self.tokenize(t) for t in texts])
 
     def combine_tokens(
         self, doc_ids: np.ndarray, tok_lists: list[list[str]]
     ) -> pa.Table:
-        """Pre-tokenized entry — lets the fused build stage tokenize each
-        doc exactly once (prepare needs token counts too)."""
+        """Takes token lists, so the fused build stage tokenizes each doc
+        exactly once (prepare needs token counts too)."""
         cfg = self.cfg
         counts = np.fromiter((len(t) for t in tok_lists), np.int64, len(tok_lists))
         total = int(counts.sum())
@@ -328,28 +323,6 @@ class TokenizeCombine:
         )
 
 
-_TOKENIZE_SINGLETON: dict = {}
-
-
-def tokenize_combine_task(batch: pa.Table, *, cfg: IndexConfig, shift: int) -> pa.Table:
-    """Task-pool entry for :class:`TokenizeCombine`.
-
-    The default tokenizer is vocab-free, so its only state is the memoized
-    term hasher — a module-level singleton per worker process gives the
-    same load-once behavior as an actor pool without paying actor-pool
-    spin-up (Ray reuses warm worker processes across task stages).  A
-    tokenizer that loads a real model/vocabulary should instead be passed
-    as the class itself with ``concurrency=N`` (actor pool)."""
-    _pin_arrow_single_thread()
-    key = (cfg, shift)  # IndexConfig is a frozen (hashable) dataclass
-    inst = _TOKENIZE_SINGLETON.get(key)
-    if inst is None:
-        inst = TokenizeCombine(cfg, shift)
-        _TOKENIZE_SINGLETON.clear()
-        _TOKENIZE_SINGLETON[key] = inst
-    return inst(batch)
-
-
 def _partial_schema() -> pa.Schema:
     return pa.schema(
         [
@@ -367,14 +340,15 @@ def _partial_schema() -> pa.Schema:
 
 
 class PartialsWriter:
-    """Stage A of the storage shuffle (cfg.shuffle_mode="storage"): one
-    docs shard → one partials parquet holding that shard's (term, salt)
-    runs with ONE ROW GROUP PER SEGMENT (+ a sidecar segment→row-group
-    map), so each segment assembler later reads only its own row groups —
-    selective IO instead of a global sort exchange.  The filesystem (the
-    index out_dir; shared storage on a real cluster) is the shuffle
-    fabric, the pattern external-shuffle index builders use.  Finished
-    shards are skipped via their sidecar (per-partition checkpoint)."""
+    """Map side of the storage shuffle, run inside :class:`FusedShardTask`:
+    one docs shard's token lists → one partials parquet holding that
+    shard's (term, salt) runs with ONE ROW GROUP PER SEGMENT (+ a sidecar
+    segment→row-group map), so each segment assembler later reads only
+    its own row groups — selective IO instead of a global sort exchange.
+    The filesystem (the index out_dir; shared storage on a real cluster)
+    is the shuffle fabric, the pattern external-shuffle index builders
+    use.  Finished shards are skipped via their sidecar (per-partition
+    checkpoint)."""
 
     def __init__(self, partials_dir: str, cfg: IndexConfig, shift: int):
         self.partials_dir = partials_dir
@@ -383,18 +357,15 @@ class PartialsWriter:
         self.combine = TokenizeCombine(cfg, shift)
         self._RG_CAP = cfg.partials_rg_rows
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        _pin_arrow_single_thread()
-        return pa.Table.from_pylist(
-            [self._one(p) for p in batch["path"].to_pylist()]
-        )
-
     def _one(
         self,
         docs_path: str,
-        docs_tbl: pa.Table | None = None,
-        tok_lists: list[list[str]] | None = None,
+        docs_tbl: pa.Table | None,
+        tok_lists: list[list[str]] | None,
     ) -> dict:
+        """``docs_tbl``/``tok_lists`` are prepare's outputs, or None when
+        prepare skipped a finished docs shard; the shard is then re-read
+        and re-tokenized only if its partials must be (re)built."""
         stem = os.path.splitext(os.path.basename(docs_path))[0]
         out = os.path.join(self.partials_dir, f"partials-{stem}.parquet")
         sidecar = out + ".rgmap.json"
@@ -414,27 +385,20 @@ class PartialsWriter:
             # shard): rebuild
 
         t0 = time.monotonic()
-        tbl = (
-            docs_tbl.select(["doc_id", "text"])
-            if docs_tbl is not None
-            else pq.read_table(docs_path, columns=["doc_id", "text"])
-        )
+        if docs_tbl is None:
+            docs_tbl = pq.read_table(docs_path, columns=["doc_id", "text"])
+            tok = get_tokenizer(self.cfg.tokenizer)
+            tok_lists = [tok(t) for t in docs_tbl["text"].to_pylist()]
+        all_ids = docs_tbl["doc_id"].to_numpy().astype(np.int64)
         bs = self.cfg.tokenize_batch_size
-        if tok_lists is not None:
-            # fused path: docs were tokenized once in prepare — reuse
-            all_ids = tbl["doc_id"].to_numpy().astype(np.int64)
-            parts = [
+        runs = pa.concat_tables(
+            [
                 self.combine.combine_tokens(
                     all_ids[off : off + bs], tok_lists[off : off + bs]
                 )
                 for off in range(0, max(len(all_ids), 1), bs)
             ]
-        else:
-            parts = [
-                self.combine(tbl.slice(off, bs))
-                for off in range(0, max(tbl.num_rows, 1), bs)
-            ]
-        runs = pa.concat_tables(parts)
+        )
         segs = runs["segment"].to_numpy().astype(np.int64, copy=False)
         order = np.argsort(segs, kind="stable")
         runs = runs.take(pa.array(order))
@@ -487,7 +451,7 @@ class PartialsWriter:
 def assemble_segment(
     segment: int, partial_paths: list[str], writer: "SegmentWriter"
 ) -> pa.Table | None:
-    """Stage B of the storage shuffle: gather one segment's row groups
+    """Reduce side of the storage shuffle: gather one segment's row groups
     from every partials file and merge+write via :class:`SegmentWriter`.
     Returns the manifest-row table, or None if the segment is empty."""
     _pin_arrow_single_thread()
@@ -503,12 +467,12 @@ def assemble_segment(
 
 
 class SegmentWriter:
-    """``map_groups`` callable over the segment-keyed shuffle: merges the
-    partial runs of each (term_id, salt) (decode → concat → sort by
-    doc_id → re-encode; (term, doc) pairs are globally unique because a
-    doc lives in exactly one input batch), computes block-max metadata,
-    and writes one segment parquet atomically (+ sidecar meta), returning
-    a manifest row.
+    """Called by :func:`assemble_segment` with all of one segment's
+    partial runs: merges the runs of each (term_id, salt) (decode →
+    concat → sort by doc_id → re-encode; (term, doc) pairs are globally
+    unique because a doc lives in exactly one input batch), computes
+    block-max metadata, and writes one segment parquet atomically (+
+    sidecar meta), returning a manifest row.
 
     The posting sort mirrors the reference's sort-before-compress
     precondition (InvertedIndex.java:63-67,102-105); block-max values are
@@ -520,8 +484,7 @@ class SegmentWriter:
         self,
         out_dir: str,
         cfg: IndexConfig,
-        avgdl: float,
-        shift: int | None = None,
+        shift: int,
         extra_tag: str = "",
     ):
         self.out_dir = out_dir
@@ -530,12 +493,9 @@ class SegmentWriter:
         # is invalidated by any change to the input set (extra_tag =
         # inputs fingerprint), not just the config/shift
         self.cfg_tag = config_tag(cfg, shift) + extra_tag
-        self.avgdl = avgdl
 
-    def __call__(self, group: pa.Table | pd.DataFrame) -> pa.Table:
+    def __call__(self, group: pa.Table) -> pa.Table:
         _pin_arrow_single_thread()
-        if isinstance(group, pd.DataFrame):  # tests may pass pandas groups
-            group = pa.Table.from_pandas(group, preserve_index=False)
         seg = int(group["segment"][0].as_py())
         path = os.path.join(self.out_dir, f"seg-{seg:05d}.parquet")
         meta_path = path + ".meta.json"

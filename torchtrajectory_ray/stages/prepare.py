@@ -9,11 +9,11 @@ one input parquet file → one atomically-written docs shard + a lineage
 sidecar, so a rerun skips finished shards (the reference's crash-loses-
 everything append files, TorSaver.java:45,257, are the anti-pattern).
 
-Runs as ``map_batches`` over a dataset of file descriptors (one task per
-input file — at Common-Crawl scale input files are the natural ~100-500 MB
-work units).  The per-row invariant from BASELINE.json lives here:
-``extract_text(html)`` must equal the ``text`` column byte-for-byte when
-both are present.
+Runs inside the fused build task (``stages.postings.FusedShardTask``,
+one task per input file — at Common-Crawl scale input files are the
+natural ~100-500 MB work units).  The per-row invariant from
+BASELINE.json lives here: ``extract_text(html)`` must equal the ``text``
+column byte-for-byte when both are present.
 """
 
 from __future__ import annotations
@@ -27,7 +27,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from torchtrajectory_ray.config import IndexConfig
 from torchtrajectory_ray.functions.text import extract_text, get_tokenizer
+
 
 def url_doc_id(url: str) -> int:
     """Stable 62-bit doc id from the url (order-independent, unlike the
@@ -145,99 +147,65 @@ def prepare_table(
     )
 
 
-class PrepareFileTask:
-    """map_batches callable over a file-descriptor dataset: reads one raw
-    input parquet, prepares it, writes one docs shard atomically, and
-    returns a lineage row (the per-partition checkpoint + metrics the
-    north rule requires).  Already-finished shards are skipped by
-    checking their lineage sidecar."""
+def prepare_file(
+    path: str,
+    docs_dir: str,
+    cfg: IndexConfig,
+    cfg_tag: str,
+    doc_id_base: int | None = None,
+) -> tuple[dict, pa.Table | None, list[list[str]] | None]:
+    """Read one raw input parquet, prepare it and write one docs shard
+    atomically.  Returns ``(lineage row, docs table, token lists)`` — the
+    lineage row is the per-partition checkpoint + metrics the north rule
+    requires; the docs table and token lists let the fused build stage
+    combine postings without re-reading or re-tokenizing the shard.  An
+    already-finished shard is skipped by checking its lineage sidecar and
+    returns ``(lineage, None, None)``."""
+    stem = os.path.splitext(os.path.basename(path))[0]
+    out = os.path.join(docs_dir, f"docs-{stem}.parquet")
+    sidecar = out + ".lineage.json"
+    st = os.stat(path)
+    # identity includes doc_id_base: the same file re-ordinaled by a
+    # changed input set must rebuild, or two files would silently
+    # share doc ids
+    src_id = [st.st_size, st.st_mtime_ns, doc_id_base]
+    if os.path.exists(sidecar) and os.path.exists(out):
+        with open(sidecar) as f:
+            lin = json.load(f)
+        if lin.get("cfg_tag", "") == cfg_tag and lin.get("src_id") == src_id:
+            lin["skipped"] = True
+            return lin, None, None
+        # stale checkpoint (different config OR changed source file):
+        # rebuild
 
-    def __init__(
-        self,
-        docs_dir: str,
-        check_invariant: bool = True,
-        bad_rows: str = "raise",
-        cfg_tag: str = "",
-        tokenizer: str = "default",
-    ):
-        self.docs_dir = docs_dir
-        self.check_invariant = check_invariant
-        self.bad_rows = bad_rows
-        self.cfg_tag = cfg_tag
-        self.tokenizer = tokenizer
-        # docs table + token lists of the most recent non-skipped _one()
-        # call, for the fused stage to consume without re-reading or
-        # re-tokenizing the shard
-        self.last_docs: pa.Table | None = None
-        self.last_tokens: list[list[str]] | None = None
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from torchtrajectory_ray.stages.postings import _pin_arrow_single_thread
-
-        _pin_arrow_single_thread()
-        bases = (
-            [None if b < 0 else b for b in batch["doc_id_base"].to_pylist()]
-            if "doc_id_base" in batch.column_names
-            else [None] * batch.num_rows
-        )
-        rows = []
-        for path, base in zip(batch["path"].to_pylist(), bases):
-            rows.append(self._one(path, base))
-        return pa.Table.from_pylist(rows)
-
-    def _one(self, path: str, doc_id_base: int | None = None) -> dict:
-        stem = os.path.splitext(os.path.basename(path))[0]
-        out = os.path.join(self.docs_dir, f"docs-{stem}.parquet")
-        sidecar = out + ".lineage.json"
-        self.last_docs = None
-        self.last_tokens = None
-        st = os.stat(path)
-        # identity includes doc_id_base: the same file re-ordinaled by a
-        # changed input set must rebuild, or two files would silently
-        # share doc ids
-        src_id = [st.st_size, st.st_mtime_ns, doc_id_base]
-        if os.path.exists(sidecar) and os.path.exists(out):
-            with open(sidecar) as f:
-                lin = json.load(f)
-            if (
-                lin.get("cfg_tag", "") == self.cfg_tag
-                and lin.get("src_id") == src_id
-            ):
-                lin["skipped"] = True
-                return lin
-            # stale checkpoint (different config OR changed source file):
-            # rebuild
-
-        t0 = time.monotonic()
-        raw = pq.read_table(path)
-        docs, n_rejected, tok_lists = prepare_table(
-            raw,
-            check_invariant=self.check_invariant,
-            doc_id_base=doc_id_base,
-            bad_rows=self.bad_rows,
-            tokenizer=self.tokenizer,
-        )
-        tmp = out + ".tmp"
-        pq.write_table(docs, tmp)
-        os.replace(tmp, out)
-        self.last_docs = docs
-        self.last_tokens = tok_lists
-        dl = docs["doclen"].to_numpy()
-        ids = docs["doc_id"].to_numpy()
-        lin = {
-            "input": path,
-            "output": out,
-            "cfg_tag": self.cfg_tag,
-            "src_id": src_id,
-            "n_docs": int(docs.num_rows),
-            "n_rejected": n_rejected,
-            "sum_doclen": int(dl.sum()) if len(dl) else 0,
-            "max_doc_id": int(ids.max()) if len(ids) else -1,
-            "min_doc_id": int(ids.min()) if len(ids) else -1,
-            "wall_s": round(time.monotonic() - t0, 4),
-            "skipped": False,
-        }
-        with open(sidecar + ".tmp", "w") as f:
-            json.dump(lin, f)
-        os.replace(sidecar + ".tmp", sidecar)
-        return lin
+    t0 = time.monotonic()
+    raw = pq.read_table(path)
+    docs, n_rejected, tok_lists = prepare_table(
+        raw,
+        check_invariant=cfg.check_invariant,
+        doc_id_base=doc_id_base,
+        bad_rows=cfg.bad_rows,
+        tokenizer=cfg.tokenizer,
+    )
+    tmp = out + ".tmp"
+    pq.write_table(docs, tmp)
+    os.replace(tmp, out)
+    dl = docs["doclen"].to_numpy()
+    ids = docs["doc_id"].to_numpy()
+    lin = {
+        "input": path,
+        "output": out,
+        "cfg_tag": cfg_tag,
+        "src_id": src_id,
+        "n_docs": int(docs.num_rows),
+        "n_rejected": n_rejected,
+        "sum_doclen": int(dl.sum()) if len(dl) else 0,
+        "max_doc_id": int(ids.max()) if len(ids) else -1,
+        "min_doc_id": int(ids.min()) if len(ids) else -1,
+        "wall_s": round(time.monotonic() - t0, 4),
+        "skipped": False,
+    }
+    with open(sidecar + ".tmp", "w") as f:
+        json.dump(lin, f)
+    os.replace(sidecar + ".tmp", sidecar)
+    return lin, docs, tok_lists
