@@ -291,14 +291,13 @@ def run_suite(sf_dir: str, num_cpus: int) -> dict:
     )
     from torchtrajectory_ray.pipelines.corpus import SEARCH_QUERIES
 
-    eng_meta = QueryEngine(idx_dir, load_doc_meta=True)
     timed(
         "search_box",
-        lambda: [eng_meta.search(q["q"], k=10) for q in SEARCH_QUERIES],
+        lambda: [eng.search(q["q"], k=10) for q in SEARCH_QUERIES],
     )
     timed(
         "collapse_lang",
-        lambda: [eng_meta.collapse_topk(q["terms"], k=10) for q in WEB_QUERIES],
+        lambda: [eng.collapse_topk(q["terms"], k=10) for q in WEB_QUERIES],
     )
     timed(
         "bool_and_not",
@@ -328,14 +327,14 @@ def run_suite(sf_dir: str, num_cpus: int) -> dict:
     timed(
         "sorted_by_doclen",
         lambda: [
-            eng_meta.sort_by(q["terms"], field="doclen", k=10)
+            eng.sort_by(q["terms"], field="doclen", k=10)
             for q in WEB_QUERIES
         ],
     )
     timed(
         "facet_doclen",
         lambda: [
-            eng_meta.facet_counts(
+            eng.facet_counts(
                 q["terms"], facet_col="doclen", bucket_width=64
             )
             for q in WEB_QUERIES

@@ -127,8 +127,7 @@ def main() -> None:
     out["span_hits"] = int(span_hits.size)
     # field collapsing on the hot OR: exhaustive bucket-local scoring of
     # a corpus-scale candidate set, one row per lang per bucket merged
-    eng_meta = QueryEngine(idx_dir, load_doc_meta=True)
-    col = timed("collapse_hot", lambda: eng_meta.collapse_topk(hot, k=10))
+    col = timed("collapse_hot", lambda: eng.collapse_topk(hot, k=10))
     out["collapse_groups"] = int(len(col))
     # boosted + synonym ranking on the hot pair (wand / exhaustive over
     # the same candidates)
@@ -165,11 +164,11 @@ def main() -> None:
     # set — both exercise the distributed membership branch
     timed(
         "sort_by_hot_distributed",
-        lambda: eng_meta.sort_by(hot, field="doclen", k=10, max_candidates=0),
+        lambda: eng.sort_by(hot, field="doclen", k=10, max_candidates=0),
     )
     timed(
         "facet_doclen_hot_distributed",
-        lambda: eng_meta.facet_counts(
+        lambda: eng.facet_counts(
             hot, facet_col="doclen", bucket_width=16, max_candidates=0
         ),
     )

@@ -38,7 +38,7 @@ def test_and_not_edges(ray_session):
 
 
 def test_and_not_respects_metadata_filter(ray_session):
-    eng = _engine(documents_index(SF), load_doc_meta=True)
+    eng = _engine(documents_index(SF))
     got = eng.bool_and_not(["the", "data"], ["window"], lang="en")
     want = np.setdiff1d(
         eng.bool_and(["the", "data"], lang="en"), eng.bool_or(["window"])

@@ -131,7 +131,7 @@ def test_filters(built):
     """warc_ts / lang predicate filters (analog of the time-span result
     filter, TrajectoryResolver.java:82-100)."""
     _, out_dir, orc = built
-    eng = QueryEngine(out_dir, load_doc_meta=True)
+    eng = QueryEngine(out_dir)
     tbl = fixtures.webpages_table(N_DOCS)
     langs = tbl["lang"].to_pylist()
     got = eng.topk(["w0000"], k=400, lang="pt")

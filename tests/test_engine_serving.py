@@ -6,6 +6,9 @@ from __future__ import annotations
 import json
 
 import numpy as np
+import pandas as pd
+import pyarrow as pa
+import pyarrow.dataset as pads
 import pytest
 
 from torchtrajectory_ray import fixtures
@@ -165,18 +168,27 @@ def test_suggest_ranks_by_df_then_term(built):
 
 
 def test_collapse_topk_serving(built):
-    local = QueryEngine(built, load_doc_meta=True)
-    dist = QueryEngine(built, load_doc_meta=True, distributed=True)
+    local = QueryEngine(built)
+    dist = QueryEngine(built, distributed=True)
     for q in _queries()[:4]:
         a = local.collapse_topk(q["terms"], k=5)
         b = dist.collapse_topk(q["terms"], k=5)
         assert a.equals(b)
         assert a["lang"].is_unique  # one representative per group
         assert (a["score"].diff().dropna() <= 1e-12).all()  # score-desc
-    # collapse needs doc metadata — fail loud without it
-    bare = QueryEngine(built)
-    with pytest.raises(ValueError):
-        bare.collapse_topk(["w0000"], k=3)
+    # the lang groups come from the resident doc stores: each row is the
+    # best (6-dp score desc, doc_id asc) doc of its lang in the ranking
+    ranked = pd.DataFrame(local.topk(["w0000"], k=10**6), columns=["doc_id", "score"])
+    ranked = ranked.merge(local.resolve(ranked["doc_id"]), on="doc_id")
+    ranked["score"] = ranked["score"].round(6)
+    best = (
+        ranked.sort_values(["score", "doc_id"], ascending=[False, True])
+        .groupby("lang", sort=False)
+        .head(1)
+    )
+    got = local.collapse_topk(["w0000"], k=3)
+    assert got["doc_id"].tolist() == best["doc_id"].head(3).tolist()
+    assert got["lang"].tolist() == best["lang"].head(3).tolist()
 
 
 def test_more_like_this_excludes_seed_and_matches_distributed(built):
@@ -270,10 +282,12 @@ def multi_gen(ray_session, tmp_path_factory):
 
 
 def test_lazy_load_mode_matches_memory(built, multi_gen):
-    """load_mode="lazy" (term_id row-group pushdown probes) must produce
-    bitwise-identical results to the in-memory columnar store — on a
-    one-generation index, and on multi-generation indexes with
-    tombstones, an empty bucket and unknown terms."""
+    """load_mode="lazy" (term_id row-group pushdown probes, per-call doc
+    stores) must produce bitwise-identical results to the in-memory
+    columnar stores — on a one-generation index, and on
+    multi-generation indexes with tombstones, an empty bucket and
+    unknown terms; ``resolve``, the lang / ts filters and
+    ``collapse_topk`` included."""
     mem = QueryEngine(built)
     lazy = QueryEngine(built, load_mode="lazy")
     for q in _queries()[:6]:
@@ -293,6 +307,11 @@ def test_lazy_load_mode_matches_memory(built, multi_gen):
         mem = QueryEngine(idx)
         lazy = QueryEngine(idx, load_mode="lazy")
         assert mem.searchers[1].seg_paths == []  # zero tables to join
+        ts = pads.dataset(mem.docs_paths, format="parquet").to_table(
+            columns=["warc_ts"]
+        )["warc_ts"].cast(pa.int64()).to_numpy()
+        mid = int(np.median(ts))
+        filters = ({"lang": "pt"}, {"ts_lo": mid}, {"lang": "en", "ts_hi": mid})
         tail = mem.searchers[-1]
         tids, _ = mem.resolve_terms(["w0000"])
         runs = tail._rows(tids[0])
@@ -310,6 +329,17 @@ def test_lazy_load_mode_matches_memory(built, multi_gen):
             assert mem.bool_or(terms).tolist() == lazy.bool_or(terms).tolist()
             ids = [d for d, _ in mem.topk(terms, k=10)]
             assert mem.explain_docs(terms, ids) == lazy.explain_docs(terms, ids)
+            pd.testing.assert_frame_equal(mem.resolve(ids), lazy.resolve(ids))
+            for filt in filters:
+                for method in ("wand", "exhaustive"):
+                    got = mem.topk(terms, k=10, method=method, **filt)
+                    assert got == lazy.topk(terms, k=10, method=method, **filt)
+                got = mem.bool_or(terms, **filt).tolist()
+                assert got == lazy.bool_or(terms, **filt).tolist()
+                pd.testing.assert_frame_equal(
+                    mem.collapse_topk(terms, k=5, **filt),
+                    lazy.collapse_topk(terms, k=5, **filt),
+                )
         hits = mem.phrase_and(phrase)
         assert hits.size and hits.tolist() == lazy.phrase_and(phrase).tolist()
         tids, _ = mem.resolve_terms(phrase)
@@ -326,6 +356,79 @@ def test_lazy_load_mode_matches_memory(built, multi_gen):
                     assert a.tolist() == b.tolist()
 
 
+def _scan_resolve(eng, doc_ids) -> pd.DataFrame:
+    """The dataset-scan hydration the doc stores replaced: a ``doc_id``
+    isin filter over every docs shard, tombstoned ids dropped first."""
+    arr = np.unique(np.asarray(list(doc_ids), dtype=np.int64))
+    arr = arr[~np.isin(arr, eng._deleted_all)]
+    t = pads.dataset(eng.docs_paths, format="parquet").to_table(
+        columns=["doc_id", "url", "lang", "doclen"],
+        filter=pads.field("doc_id").isin(pa.array(arr, pa.int64())),
+    )
+    return t.to_pandas().sort_values("doc_id").reset_index(drop=True)
+
+
+def test_resolve_frames_equal_across_engines(built, multi_gen):
+    """Hydration from the resident doc stores, the lazy per-call store and
+    the distributed engine's driver-side stores returns the frame the
+    dataset scan returns — on a base build plus two generations with
+    tombstones: dtypes, order, duplicate ids, unknown ids (ids of another
+    index too, as federated search passes them) and empty input."""
+    idx = multi_gen["first"]
+    mem = QueryEngine(idx)
+    engines = [mem, QueryEngine(idx, load_mode="lazy")]
+    engines.append(QueryEngine(idx, distributed=True))
+    live, dead = mem.find_in_range(), mem._deleted_all
+    assert dead.size and mem.n_docs == live.size + dead.size
+    other = QueryEngine(built).find_in_range()  # overlapping dense ids
+    cases = [
+        [],
+        np.empty(0, dtype=np.int64),
+        live[:10].tolist(),
+        live[::-7].tolist() + live[:5].tolist() + live[:5].tolist(),
+        dead[:5].tolist() + live[-5:].tolist(),
+        [10**15, (40 << 34) + 3, -1] + live[:3].tolist(),
+        other.tolist(),
+        np.concatenate([live, dead]),
+    ]
+    for ids in cases:
+        want = _scan_resolve(mem, ids)
+        for eng in engines:
+            pd.testing.assert_frame_equal(eng.resolve(ids), want)
+    assert list(want.columns) == ["doc_id", "url", "lang", "doclen"]
+    assert len(want) == live.size
+    empty = mem.resolve([])
+    assert empty.empty and list(empty.dtypes) == list(want.dtypes)
+
+
+def test_distributed_engine_holds_exactly_its_bucket_actors(built):
+    """A distributed engine starts ``num_salts`` bucket actors and nothing
+    else: its searchers hold exactly the CPUs it takes, and killing them
+    returns every CPU within 20 s (what a benchmark run waits for)."""
+    import time
+
+    import ray
+
+    def free_cpus(want: float) -> float:
+        """Free CPUs once they equal ``want``, or after 20 s."""
+        deadline = time.monotonic() + 20
+        while (free := ray.available_resources().get("CPU", 0.0)) != want:
+            if time.monotonic() > deadline:
+                break
+            time.sleep(0.2)
+        return free
+
+    # earlier tests' actors die when their engines are collected
+    start = free_cpus(ray.cluster_resources()["CPU"])
+    eng = QueryEngine(built, distributed=True)
+    eng.update()  # every actor has loaded its bucket
+    assert len(eng.searchers) == eng.num_salts
+    assert free_cpus(start - eng.num_salts) == start - eng.num_salts
+    for actor in eng.searchers:
+        ray.kill(actor)
+    assert free_cpus(start) == start
+
+
 def test_batch_pipeline_honors_filters(ray_session, tmp_path):
     """Per-query lang filters must flow through the batch scorer pipeline
     exactly as they do through engine.batch_topk."""
@@ -336,7 +439,7 @@ def test_batch_pipeline_honors_filters(ray_session, tmp_path):
         {"query_id": 0, "terms": ["w0000"], "lang": "pt"},
         {"query_id": 1, "terms": ["w0000"]},
     ]
-    eng = QueryEngine(out, load_doc_meta=True)
+    eng = QueryEngine(out)
     expect = eng.batch_topk(qs, k=20)
     got = batch_topk_df(out, qs, k=20)
     assert got.equals(expect.sort_values(["query_id", "rank"]).reset_index(drop=True))
@@ -516,7 +619,7 @@ def test_topk_ts_window_matches_filtered_oracle(ray_session, tmp_path):
     paths = fixtures.write_webpages(str(tmp_path / "c"), 200, num_files=2)
     idx = str(tmp_path / "i")
     build_index(paths, idx, IndexConfig(num_term_shards=2, num_salts=4))
-    eng = QueryEngine(idx, load_doc_meta=True)
+    eng = QueryEngine(idx)
     t = pads.dataset(eng.docs_paths, format="parquet").to_table(
         columns=["doc_id", "warc_ts", "text"]
     )
@@ -544,8 +647,8 @@ def test_topk_ts_window_matches_filtered_oracle(ray_session, tmp_path):
 def test_distributed_matches_inprocess_round3_third_pass_ops(built):
     """The round-3 third-pass engine ops through the ray.remote searcher
     fan-out: identical answers to the in-process engine."""
-    local = QueryEngine(built, load_doc_meta=True)
-    dist = QueryEngine(built, load_doc_meta=True, distributed=True)
+    local = QueryEngine(built)
+    dist = QueryEngine(built, distributed=True)
     terms = _queries()[0]["terms"] + _queries()[1]["terms"]
     assert (
         local.bool_min_match(terms, 2).tolist()

@@ -70,7 +70,7 @@ def pos_engine(ray_session, tmp_path_factory):
     paths = _planted_corpus(tmp_path)
     idx = str(tmp_path / "idx")
     build_index(paths, idx, IndexConfig(**CFG))
-    return QueryEngine(idx, load_doc_meta=True)
+    return QueryEngine(idx)
 
 
 WORKLOAD = [

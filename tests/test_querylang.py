@@ -58,7 +58,7 @@ def test_search_exclusion_and_phrase(ray_session):
 
 
 def test_search_lang_filter_equals_topk_lang(ray_session):
-    eng = _engine(documents_index(SF), load_doc_meta=True)
+    eng = _engine(documents_index(SF))
     assert eng.search("the lang:en", k=10) == eng.topk(["the"], k=10, lang="en")
 
 
@@ -110,7 +110,7 @@ def test_search_fuzzy_and_wildcard_grammar(ray_session):
         [["join"], exp], k=10
     )
     # composes with exclusions and filters
-    eng_meta = _engine(documents_index(SF), load_doc_meta=True)
+    eng_meta = _engine(documents_index(SF))
     got = eng_meta.search("sp* -join lang:en", k=10)
     banned = set(eng.bool_or(["join"]).tolist())
     assert all(d not in banned for d, _ in got)

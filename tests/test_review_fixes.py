@@ -1,5 +1,5 @@
 """Regression tests for review findings: stale-checkpoint reuse, orphan
-generations, filter misuse, row-group map desync."""
+generations, filters on a default engine, row-group map desync."""
 
 from __future__ import annotations
 
@@ -8,6 +8,8 @@ import os
 import shutil
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
 from torchtrajectory_ray import fixtures, oracle
@@ -43,15 +45,36 @@ def test_config_change_rerun_rebuilds_checkpoints(ray_session, tmp_path):
     assert [x for x, _ in got] == [x for x, _ in exp]
 
 
-def test_filters_without_doc_meta_raise(ray_session, tmp_path):
+def test_filters_on_default_engine_match_docs_shards(ray_session, tmp_path):
+    """A default-opened engine serves lang / warc_ts filters from its
+    resident doc stores: filtered ``bool_or`` and ``topk`` equal the
+    unfiltered answers masked by the docs shards' own columns."""
     paths = fixtures.write_webpages(str(tmp_path / "c"), N, num_files=2)
     d = str(tmp_path / "i")
     build_index(paths, d, IndexConfig(num_term_shards=2, num_salts=2))
-    eng = QueryEngine(d)  # load_doc_meta defaults to False
-    with pytest.raises(ValueError, match="load_doc_meta"):
-        eng.bool_or(["w0000"], lang="en")
-    with pytest.raises(ValueError, match="load_doc_meta"):
-        eng.topk(["w0000"], k=5, ts_lo=0)
+    eng = QueryEngine(d)
+    cols = ["doc_id", "lang", "warc_ts"]
+    docs = pa.concat_tables([pq.read_table(p, columns=cols) for p in eng.docs_paths])
+    ids = docs["doc_id"].to_numpy()
+    lang = docs["lang"].to_numpy(zero_copy_only=False)
+    ts = docs["warc_ts"].cast(pa.int64()).to_numpy()
+    ts_lo = int(np.median(ts))
+    terms = ["w0000", "w0003"]
+    every = eng.bool_or(terms)
+    ranked = eng.topk(terms, k=N)
+    for filt, keep in (
+        ({"lang": "en"}, lang == "en"),
+        ({"ts_lo": ts_lo}, ts >= ts_lo),
+        ({"ts_hi": ts_lo}, ts <= ts_lo),
+        ({"lang": "en", "ts_lo": ts_lo}, (lang == "en") & (ts >= ts_lo)),
+    ):
+        allowed = set(ids[keep].tolist())
+        want = [d for d in every.tolist() if d in allowed]
+        assert 0 < len(want) < len(every)  # the filter bites
+        assert eng.bool_or(terms, **filt).tolist() == want
+        assert eng.topk(terms, k=N, **filt) == [
+            (d, s) for d, s in ranked if d in allowed
+        ]
 
 
 def test_orphan_generation_not_served(ray_session, tmp_path):

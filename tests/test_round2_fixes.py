@@ -38,7 +38,7 @@ def test_manifest_abspath_reroots_generation_segments():
 def test_stale_docs_shard_not_resolved(ray_session, tmp_path):
     """Rebuilding into the same out_dir with an input file REMOVED leaves
     the removed file's docs shard on disk; its (re-ordinaled) doc_id range
-    collides with a live shard.  resolve()/doc_meta must read only the
+    collides with a live shard.  The doc stores must read only the
     manifest's docs shard list, so the stale shard is invisible."""
     paths = fixtures.write_webpages(str(tmp_path / "c"), N, num_files=2)
     d = str(tmp_path / "i")
@@ -52,7 +52,7 @@ def test_stale_docs_shard_not_resolved(ray_session, tmp_path):
     assert len(on_disk) == 2  # the stale shard is still on disk...
     assert len(m["docs_paths"]) == 1  # ...but not in the manifest
 
-    eng = QueryEngine(d, load_doc_meta=True)
+    eng = QueryEngine(d)
     hits = eng.bool_or(["w0000"])
     got = eng.resolve(hits[:5])
     # exactly one row per requested id — a stale-shard read would return
@@ -210,8 +210,8 @@ def test_distributed_engine_scorer_and_filters(ray_session, tmp_path):
     paths = fixtures.write_webpages(str(tmp_path / "c"), N, num_files=2)
     d = str(tmp_path / "i")
     build_index(paths, d, IndexConfig(num_term_shards=2, num_salts=2))
-    local = QueryEngine(d, scorer="tfidf", load_doc_meta=True)
-    dist = QueryEngine(d, scorer="tfidf", distributed=True, load_doc_meta=True)
+    local = QueryEngine(d, scorer="tfidf")
+    dist = QueryEngine(d, scorer="tfidf", distributed=True)
     terms = ["w0000", "w0003"]
     assert local.topk(terms, k=10) == dist.topk(terms, k=10)
     assert local.topk(terms, k=10, lang="en") == dist.topk(terms, k=10, lang="en")

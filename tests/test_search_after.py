@@ -76,7 +76,7 @@ def test_distributed_parity(ray_session):
 def test_filters_compose(ray_session):
     from torchtrajectory_ray.state.engine import QueryEngine
 
-    eng = QueryEngine(documents_index(SF), load_doc_meta=True)
+    eng = QueryEngine(documents_index(SF))
     q = WEB_QUERIES[0]["terms"]
     full = eng.topk(q, k=20, lang="en")
     if len(full) > 10:

@@ -41,7 +41,7 @@ def _some_live_ids(idx, n=10):
 
 def test_deleted_docs_vanish_from_every_path(built):
     paths, idx, tmp = built
-    eng0 = QueryEngine(idx, load_doc_meta=True)
+    eng0 = QueryEngine(idx)
     # pick victims that actually appear in results: top docs of a query
     terms = None
     for cand in (["the"], ["a"], ["w0001"]):
@@ -53,7 +53,7 @@ def test_deleted_docs_vanish_from_every_path(built):
     res = delete_docs(idx, victims)
     assert res["n_deleted_total"] == len(victims)
 
-    eng = QueryEngine(idx, load_doc_meta=True)
+    eng = QueryEngine(idx)
     vic = set(victims)
     assert not vic & set(eng.bool_or(terms).tolist())
     assert not vic & set(eng.bool_and(terms).tolist())

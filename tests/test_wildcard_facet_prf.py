@@ -46,7 +46,7 @@ def test_wildcard_terms_and_or(ray_session):
 
 
 def test_facet_doclen_buckets_and_guards(ray_session):
-    eng = _engine(documents_index(SF), load_doc_meta=True)
+    eng = _engine(documents_index(SF))
     f = eng.facet_counts(["the", "a"], facet_col="doclen", bucket_width=64)
     assert (f["doclen"] % 64 == 0).all()
     assert f["n_docs"].sum() == len(eng.bool_or(["the", "a"]))
@@ -65,7 +65,7 @@ def test_facet_doclen_buckets_and_guards(ray_session):
 
 
 def test_facet_doclen_distributed_branch_matches_pushdown(ray_session):
-    eng = _engine(documents_index(SF), load_doc_meta=True)
+    eng = _engine(documents_index(SF))
     a = eng.facet_counts(["the", "a"], facet_col="doclen", bucket_width=32)
     b = eng.facet_counts(
         ["the", "a"], facet_col="doclen", bucket_width=32, max_candidates=1
@@ -95,7 +95,7 @@ def test_prf_edge_cases(ray_session):
 
 
 def test_sort_by_field(ray_session):
-    eng = _engine(documents_index(SF), load_doc_meta=True)
+    eng = _engine(documents_index(SF))
     top = eng.sort_by(["the", "a"], field="doclen", k=10)
     assert list(top.columns) == ["rank", "doc_id", "doclen"]
     assert (top["doclen"].diff().dropna() <= 0).all()  # descending

@@ -326,7 +326,7 @@ def build_index(
         "lineage": lineage,
         "partials": partials_lineage,
         "segments": seg_rows,
-        # forward-index shards BY NAME (relative): resolve()/doc_meta load
+        # forward-index shards BY NAME (relative): the doc stores load
         # exactly these files — a stale docs shard left by a rebuild with a
         # removed input, or a crashed extend's orphan gen-* dir, is never
         # read (same manifest-not-glob rule as segments)

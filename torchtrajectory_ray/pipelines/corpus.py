@@ -647,7 +647,7 @@ def collapse_lang(sf_dir: str, k: int = 10) -> pd.DataFrame:
     language group represented by its best-scoring doc, groups ranked by
     that score (``QueryEngine.collapse_topk``).  Scores are 6-dp rounded
     at every selection point on both sides of the gate."""
-    eng = _engine(documents_index(sf_dir), load_doc_meta=True)
+    eng = _engine(documents_index(sf_dir))
     rows = []
     for q in WEB_QUERIES:
         df = eng.collapse_topk(q["terms"], k=k)
@@ -763,7 +763,7 @@ def topk_resolved(sf_dir: str, k: int = 10) -> pd.DataFrame:
 def bool_or_lang(sf_dir: str, lang: str = "en") -> pd.DataFrame:
     """Boolean OR with a language predicate filter (U3 metadata-range /
     M7 time-span filter analog — Arrow predicate on the doc-meta column)."""
-    eng = _engine(documents_index(sf_dir), load_doc_meta=True)
+    eng = _engine(documents_index(sf_dir))
     rows = []
     for q in WEB_QUERIES:
         for d in eng.bool_or(q["terms"], lang=lang):
@@ -795,9 +795,7 @@ def topk_bm25_lang(sf_dir: str, k: int = 10, lang: str = "en") -> pd.DataFrame:
     lang mask applied before the heap; stats N/avgdl/df stay GLOBAL —
     the filter narrows candidates, not the collection statistics, same
     contract as Lucene filter queries)."""
-    return _ranked_topk(
-        _engine(documents_index(sf_dir), load_doc_meta=True), k, lang=lang
-    )
+    return _ranked_topk(_engine(documents_index(sf_dir)), k, lang=lang)
 
 
 def search_box(sf_dir: str, k: int = 10) -> pd.DataFrame:
@@ -805,7 +803,7 @@ def search_box(sf_dir: str, k: int = 10) -> pd.DataFrame:
     (``QueryEngine.search``) over the fixed mini-language workload,
     re-ranked under the float-stable 6dp protocol so the SQL oracle's
     window matches row for row."""
-    eng = _engine(documents_index(sf_dir), load_doc_meta=True)
+    eng = _engine(documents_index(sf_dir))
     rows = []
     for q in SEARCH_QUERIES:
         res = eng.search(q["q"], k=10**9)  # full masked ranking
@@ -919,7 +917,7 @@ def sorted_by_doclen(sf_dir: str, k: int = 10) -> pd.DataFrame:
     """query_id, rank, doc_id, doclen — sort-by-field retrieval (the
     Lucene ``Sort`` shape, ``QueryEngine.sort_by``): each fixed query's
     OR match set ordered doclen-descending (doc_id-ascending ties)."""
-    eng = _engine(documents_index(sf_dir), load_doc_meta=True)
+    eng = _engine(documents_index(sf_dir))
     out = []
     for q in WEB_QUERIES:
         f = eng.sort_by(q["terms"], field="doclen", k=k, descending=True)

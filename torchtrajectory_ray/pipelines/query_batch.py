@@ -4,7 +4,7 @@ The analog of the reference's query-serving layer run at corpus scale
 (QueryPool wiring + per-query execute, /root/reference/src/main/java/au/
 edu/rmit/bdm/Torch/queryEngine/query/QueryPool.java:28-158): a stateful
 scorer ACTOR POOL — each actor opens the index once in ``__init__``
-(segments + dictionary + doc meta), then evaluates query batches in
+(segments + dictionary + doc store), then evaluates query batches in
 ``__call__`` — fed by a Dataset of queries and producing a Dataset of
 ranked results.  Online single queries use :class:`QueryEngine` directly
 (optionally ``distributed=True`` for a salt-parallel actor fan-out).
@@ -27,12 +27,9 @@ class BatchScorer:
         index_dir: str,
         k: int = 10,
         method: str = "wand",
-        load_doc_meta: bool = False,
         scorer: str = "bm25",
     ):
-        self.engine = QueryEngine(
-            index_dir, load_doc_meta=load_doc_meta, scorer=scorer
-        )
+        self.engine = QueryEngine(index_dir, scorer=scorer)
         self.k = k
         self.method = method
 
@@ -109,7 +106,6 @@ def batch_topk_pipeline(
             "index_dir": index_dir,
             "k": k,
             "method": method,
-            "load_doc_meta": has_filters,
             "scorer": scorer,
         },
         batch_format="pyarrow",

@@ -20,12 +20,13 @@ import os
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
 from torchtrajectory_ray.functions.proximity import near_cover_ok, span_chain_ok
 from torchtrajectory_ray.functions.scoring import make_scorer
 from torchtrajectory_ray.functions.text import get_tokenizer, term_hash
-from torchtrajectory_ray.state.segment import SaltSearcher
+from torchtrajectory_ray.state.segment import SaltSearcher, _DocStore, live_mask
 
 
 def _distinct_term_doc_counts(texts, tokenize) -> pd.Series:
@@ -136,9 +137,6 @@ class _PhraseVerifyTask:
         self.ordered = ordered
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        import pyarrow as pa
-        import pyarrow.dataset as pads
-
         from torchtrajectory_ray.stages.postings import _pin_arrow_single_thread
 
         _pin_arrow_single_thread()
@@ -170,7 +168,6 @@ class QueryEngine:
         index_dir: str,
         *,
         distributed: bool = False,
-        load_doc_meta: bool = False,
         load_mode: str = "memory",
         scorer: str = "bm25",
     ):
@@ -201,7 +198,6 @@ class QueryEngine:
         # term dictionary: term_id -> (df, max_tf, min_dl).  At 10^12-doc scale
         # this table is itself term-sharded and probed with parquet
         # predicate pushdown per query; at bench scale it fits the driver.
-        import pyarrow as pa
 
         from torchtrajectory_ray.pipelines.build import manifest_abspath
 
@@ -238,7 +234,7 @@ class QueryEngine:
         # Scoring keeps the PRE-delete stats (N/avgdl/df), exactly like
         # Lucene until a merge: compact_index purges physically and
         # recomputes them.
-        self._deleted_all: np.ndarray | None = None
+        self._deleted_all = np.empty(0, dtype=np.int64)
         tomb_path = os.path.join(index_dir, "tombstones.json")
         if os.path.exists(tomb_path):
             with open(tomb_path) as f:
@@ -256,59 +252,54 @@ class QueryEngine:
             seg_by_salt[int(row["segment"]) % self.num_salts].append(
                 manifest_abspath(row["path"], index_dir)
             )
-        kwargs = dict(
-            num_salts=self.num_salts,
-            avgdl=self.avgdl,
-            k1=self.k1,
-            b=self.b,
-            load_doc_meta=load_doc_meta,
-            load_mode=load_mode,
-            salt_shift=self.stats.get("salt_shift"),
-            docs_paths=self.docs_paths,
-            scorer=scorer,
-            position_mode=self.position_mode or "first",
+        if self.stats.get("salt_shift") is None:
+            raise ValueError(
+                "this index predates salt_shift bookkeeping, so its docs "
+                "and tombstones cannot be routed to salt buckets — rebuild "
+                "the index (build_index)"
+            )
+        self._salt_shift = int(self.stats["salt_shift"])
+        # the forward index stays resident (TrajectoryPool.java:59-75):
+        # one doc store per salt bucket, read once here, sorted by doc_id
+        # — hydration and the lang/ts filters do no file I/O.  Lazy mode
+        # keeps none and reads a small store per call instead.
+        self._docs: list[_DocStore] | None = (
+            _DocStore.load(self.docs_paths, self._salt_shift, self.num_salts)
+            if load_mode == "memory"
+            else None
         )
-        del_by_salt: dict[int, np.ndarray | None] = {
-            s: None for s in range(self.num_salts)
-        }
-        if self._deleted_all is not None and self._deleted_all.size:
-            if self.stats.get("salt_shift") is None:
-                raise ValueError(
-                    "this index predates salt_shift bookkeeping, so its "
-                    "tombstones cannot be routed to salt buckets — rebuild "
-                    "the index (build_index) before applying deletes"
-                )
-            shift = int(self.stats["salt_shift"])
-            salts = np.minimum(
-                self._deleted_all >> shift, self.num_salts - 1
-            ).astype(np.int64)
-            for s in range(self.num_salts):
-                part = self._deleted_all[salts == s]
-                if part.size:
-                    del_by_salt[s] = part
+        dead_salt = self._salt_of(self._deleted_all)
+        searcher = SaltSearcher
         if distributed:
             import ray
 
-            Remote = ray.remote(num_cpus=1)(SaltSearcher)
-            self.searchers = [
-                Remote.remote(
-                    salt=s,
-                    seg_paths=seg_by_salt[s],
-                    deleted=del_by_salt[s],
-                    **kwargs,
-                )
-                for s in range(self.num_salts)
-            ]
-        else:
-            self.searchers = [
-                SaltSearcher(
-                    salt=s,
-                    seg_paths=seg_by_salt[s],
-                    deleted=del_by_salt[s],
-                    **kwargs,
-                )
-                for s in range(self.num_salts)
-            ]
+            searcher = ray.remote(num_cpus=1)(SaltSearcher).remote
+        self.searchers = [
+            searcher(
+                salt=s,
+                avgdl=self.avgdl,
+                seg_paths=seg_by_salt[s],
+                docs_paths=self.docs_paths,
+                k1=self.k1,
+                b=self.b,
+                load_mode=load_mode,
+                scorer=scorer,
+                deleted=self._deleted_all[dead_salt == s],
+                position_mode=self.position_mode or "first",
+                docs=self._docs[s] if self._docs is not None else None,
+            )
+            for s in range(self.num_salts)
+        ]
+
+    def _salt_of(self, ids: np.ndarray) -> np.ndarray:
+        """Salt bucket of each doc id (the build's clamp: the tail bucket
+        is open-ended)."""
+        return np.clip(ids >> self._salt_shift, 0, self.num_salts - 1)
+
+    def _live(self, doc_ids) -> np.ndarray:
+        """Sorted unique ``doc_ids`` minus the tombstoned ones."""
+        arr = np.unique(np.asarray(list(doc_ids), dtype=np.int64))
+        return arr[live_mask(self._deleted_all, arr)]
 
     def update(
         self,
@@ -672,31 +663,22 @@ class QueryEngine:
         return np.sort(np.concatenate(parts))
 
     def resolve(self, doc_ids) -> pd.DataFrame:
-        """Hydrate doc ids → (doc_id, url, lang, doclen) rows from the
-        forward-index shards (result resolution, the analog of
+        """Hydrate doc ids → (doc_id, url, lang, doclen) rows sorted by
+        doc_id (result resolution, the analog of
         TrajectoryResolver.resolveRet, Torch/queryEngine/query/
-        TrajectoryResolver.java:151-223 — predicate-pushdown read of only
-        the requested ids instead of a broadcast geometry map)."""
-        import pyarrow as pa
-        import pyarrow.dataset as pads
-
-        arr = np.unique(np.asarray(list(doc_ids), dtype=np.int64))
-        if self._deleted_all is not None and self._deleted_all.size:
-            # deleted docs don't resolve: searchsorted against the sorted
-            # tombstone array, no per-call Python set
-            pos = np.clip(
-                np.searchsorted(self._deleted_all, arr),
-                0,
-                len(self._deleted_all) - 1,
-            )
-            arr = arr[self._deleted_all[pos] != arr]
-        wanted = pa.array(arr, pa.int64())
-        dset = pads.dataset(self.docs_paths, format="parquet")
-        t = dset.to_table(
-            columns=["doc_id", "url", "lang", "doclen"],
-            filter=pads.field("doc_id").isin(wanted),
-        )
-        return t.to_pandas().sort_values("doc_id").reset_index(drop=True)
+        TrajectoryResolver.java:151-223).  Duplicates collapse; unknown
+        and tombstoned ids don't resolve.  Each live id is routed to its
+        salt bucket's resident :class:`_DocStore` (about 61 B/doc, read
+        at open) and taken from it — no file I/O per call.  Under
+        ``load_mode="lazy"`` one small store is read per call instead,
+        with a ``doc_id`` pushdown of just these ids."""
+        arr = self._live(doc_ids)
+        if self._docs is None:
+            return _DocStore.load(self.docs_paths, ids=arr)[0].take(arr).to_pandas()
+        salts = self._salt_of(arr)
+        hit = np.unique(salts) if arr.size else [0]
+        parts = [self._docs[s].take(arr[salts == s]) for s in hit]
+        return pa.concat_tables(parts).to_pandas()
 
     def term_vector(self, doc_ids) -> pd.DataFrame:
         """Per-document term vectors WITH positions (the Lucene
@@ -706,17 +688,7 @@ class QueryEngine:
         bounded by the requested ids, never corpus size.  Aggregate
         ``tf`` is ``groupby(term).size()`` on the result; deleted docs
         don't resolve (same rule as :meth:`resolve`)."""
-        import pyarrow.dataset as pads
-
-        arr = np.unique(np.asarray(list(doc_ids), dtype=np.int64))
-        if self._deleted_all is not None and self._deleted_all.size:
-            pos = np.clip(
-                np.searchsorted(self._deleted_all, arr),
-                0,
-                len(self._deleted_all) - 1,
-            )
-            arr = arr[self._deleted_all[pos] != arr]
-        wanted = pa.array(arr, pa.int64())
+        wanted = pa.array(self._live(doc_ids), pa.int64())
         t = pads.dataset(self.docs_paths, format="parquet").to_table(
             columns=["doc_id", "text"],
             filter=pads.field("doc_id").isin(wanted),
@@ -757,8 +729,6 @@ class QueryEngine:
         10^12-doc scans (same filter, streamed as a Dataset).
         Timestamps are int64 microseconds (same unit as ``topk``'s
         ts filters)."""
-        import pyarrow.dataset as pads
-
         t = pads.dataset(self.docs_paths, format="parquet").to_table(
             columns=["doc_id"],
             filter=self._range_filter(ts_lo, ts_hi, lang, doclen_lo, doclen_hi),
@@ -771,15 +741,12 @@ class QueryEngine:
         diverge (None for no predicate).  Tombstoned docs are excluded
         here too, so the terms-free paths agree with the posting
         paths."""
-        import pyarrow as pa
-        import pyarrow.dataset as pads
-
         f = None
 
         def conj(a, b):
             return b if a is None else a & b
 
-        if self._deleted_all is not None and self._deleted_all.size:
+        if self._deleted_all.size:
             f = conj(
                 f,
                 ~pads.field("doc_id").isin(
@@ -1048,9 +1015,6 @@ class QueryEngine:
         window: int | None = None,
         ordered: bool = False,
     ) -> np.ndarray:
-        import pyarrow as pa
-        import pyarrow.dataset as pads
-
         wanted = pa.array(sorted(int(d) for d in cand), pa.int64())
         t = pads.dataset(self.docs_paths, format="parquet").to_table(
             columns=["doc_id", "text"],
@@ -1216,7 +1180,7 @@ class QueryEngine:
         exhaustively and ships ONE row per group value — the driver
         merge is O(#groups × #buckets), never candidate-sized.  Scores
         are 6-dp rounded before every selection (the float-stable gate
-        protocol); requires ``load_doc_meta=True``."""
+        protocol)."""
         terms = self._tokenize(query) if isinstance(query, str) else list(query)
         tids, idfs = self.resolve_terms(terms)
         cols = ["lang", "doc_id", "score"]
@@ -1247,8 +1211,6 @@ class QueryEngine:
         trajectory-similarity search (a result trajectory re-submitted
         as the query, Engine.java findTopK over a mapped trajectory) —
         here the 'mapping' is term selection from the seed document."""
-        import pyarrow.dataset as pads
-
         dset = pads.dataset(self.docs_paths, format="parquet")
         t = dset.to_table(
             columns=["doc_id", "text"],
@@ -1304,7 +1266,6 @@ class QueryEngine:
             return []
         import collections
 
-        import pyarrow.dataset as pads
 
         dset = pads.dataset(self.docs_paths, format="parquet")
         t = dset.to_table(
@@ -1453,8 +1414,6 @@ class QueryEngine:
         if len(ids) == 0:
             return pd.DataFrame({facet_col: [], "n_docs": []})
         if len(ids) <= max_candidates:
-            import pyarrow.dataset as pads
-
             t = pads.dataset(self.docs_paths, format="parquet").to_table(
                 columns=[facet_col],
                 filter=pads.field("doc_id").isin(pa.array(ids, pa.int64())),
@@ -1530,8 +1489,6 @@ class QueryEngine:
             )
 
         def _fg_counts_local() -> pd.Series:
-            import pyarrow.dataset as pads
-
             t = pads.dataset(self.docs_paths, format="parquet").to_table(
                 columns=["doc_id", "text"],
                 filter=pads.field("doc_id").isin(pa.array(ids, pa.int64())),
@@ -1640,8 +1597,6 @@ class QueryEngine:
             ).head(k)
 
         if len(ids) <= max_candidates:
-            import pyarrow.dataset as pads
-
             t = pads.dataset(self.docs_paths, format="parquet").to_table(
                 columns=["doc_id", field],
                 filter=pads.field("doc_id").isin(pa.array(ids, pa.int64())),
@@ -1688,7 +1643,6 @@ class QueryEngine:
         cols = ["query_id", "rank", "doc_id", "snippet"]
         if top.empty:
             return pd.DataFrame(columns=cols)
-        import pyarrow.dataset as pads
 
         wanted = pa.array(sorted(set(top["doc_id"].tolist())), pa.int64())
         t = pads.dataset(self.docs_paths, format="parquet").to_table(

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from torchtrajectory_ray.functions.codec import (
@@ -33,6 +34,97 @@ from torchtrajectory_ray.functions.scoring import make_scorer
 _BLOBS = ("doc_ids_blob", "tfs_blob", "doclens_blob", "pos_blob")
 _BLOCKS = ("blk_last", "blk_max_tf", "blk_min_dl")
 _COLS = ["term_id", "df", *_BLOBS, *_BLOCKS]
+# forward-index columns a doc store holds; resolve() returns the first four
+_DOC_COLS = ["doc_id", "url", "lang", "doclen", "warc_ts"]
+_RESOLVED = _DOC_COLS[:4]
+
+
+def live_mask(deleted: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Which of ``ids`` are not in the sorted tombstone array ``deleted``
+    — one searchsorted, no Python set."""
+    if not deleted.size:
+        return np.ones(len(ids), dtype=bool)
+    pos = np.minimum(np.searchsorted(deleted, ids), deleted.size - 1)
+    return deleted[pos] != ids
+
+
+class _DocStore:
+    """Forward-index columns ``(doc_id, url, lang, doclen, warc_ts)`` of
+    one salt bucket as one Arrow table sorted by ``doc_id`` — the doc
+    store that hydration and the lang / warc_ts filters read with a
+    searchsorted + take (the reference keeps its forward index resident
+    the same way: TrajectoryPool.java:59-75).  It costs about 61 B/doc
+    (487,710 B for 8,000 minimal pages; the url dominates), so 10^6 docs
+    is about 61 MB per engine; ``load_mode="lazy"`` keeps no store and
+    builds a small one per call from a ``doc_id`` pushdown read."""
+
+    def __init__(self, table: pa.Table):
+        self.table = table  # sorted by doc_id
+        self.ids = table["doc_id"].to_numpy()
+
+    @classmethod
+    def load(
+        cls,
+        paths: list[str],
+        shift: int = 0,
+        num_salts: int = 1,
+        ids: np.ndarray | None = None,
+    ) -> list[_DocStore]:
+        """One store per salt bucket over the docs shards ``paths``, cut
+        at ``s << shift`` (the tail bucket is open-ended, like the
+        build's clamp).  ``ids`` (sorted) reads only those docs, with a
+        ``doc_id`` pushdown; otherwise every row is read, unfiltered."""
+        if ids is None:
+            tables = [pq.ParquetFile(p).read(columns=_DOC_COLS) for p in paths]
+        else:
+            where = pc.field("doc_id").isin(pa.array(ids, pa.int64()))
+            tables = [
+                pq.read_table(p, columns=_DOC_COLS, filters=where) for p in paths
+            ]
+        tbl = pa.concat_tables(tables, promote_options="permissive")
+        dids = tbl["doc_id"].to_numpy()
+        order = np.argsort(dids, kind="stable")
+        cuts = np.searchsorted(
+            dids[order], [s << shift for s in range(1, num_salts)]
+        )
+        bounds = [0, *cuts.tolist(), len(order)]
+        return [cls(tbl.take(order[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
+
+    def _find(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(row of each sorted id, whether the store holds it)."""
+        if not self.ids.size:
+            return np.zeros(len(ids), np.int64), np.zeros(len(ids), bool)
+        pos = np.minimum(np.searchsorted(self.ids, ids), self.ids.size - 1)
+        return pos, self.ids[pos] == ids
+
+    def take(self, ids: np.ndarray) -> pa.Table:
+        """``(doc_id, url, lang, doclen)`` rows of the sorted, unique
+        ``ids`` the store holds, in doc_id order."""
+        lo = np.searchsorted(self.ids, ids, "left")
+        n = np.searchsorted(self.ids, ids, "right") - lo
+        rows = np.repeat(lo, n) + concat_aranges(n)
+        return self.table.select(_RESOLVED).take(rows)
+
+    def values(self, col: str, ids: np.ndarray) -> np.ndarray:
+        """``col`` at each of ``ids`` (all held by the store) as numpy."""
+        vals = self.table[col].take(self._find(ids)[0])
+        return vals.to_numpy(zero_copy_only=False)
+
+    def mask(self, ids: np.ndarray, lang, ts_lo, ts_hi) -> np.ndarray:
+        """Which of the sorted ``ids`` the store holds with ``lang`` and
+        a warc_ts in [ts_lo, ts_hi] (int64 µs; a null never passes)."""
+        pos, ok = self._find(ids)
+        if lang is not None:
+            eq = pc.equal(self.table["lang"].take(pos), lang)
+            ok &= eq.fill_null(False).to_numpy()
+        if ts_lo is not None or ts_hi is not None:
+            ts = self.table["warc_ts"].take(pos).cast(pa.int64())
+            ts = ts.to_numpy(zero_copy_only=False)  # float NaN where null
+            if ts_lo is not None:
+                ok &= ts >= ts_lo
+            if ts_hi is not None:
+                ok &= ts <= ts_hi
+        return ok
 
 
 class _RunStore:
@@ -85,23 +177,25 @@ class SaltSearcher:
     def __init__(
         self,
         salt: int,
-        num_salts: int,
         avgdl: float,
         seg_paths: list[str],
         docs_paths: list[str],
         k1: float = 1.2,
         b: float = 0.75,
-        load_doc_meta: bool = False,
         load_mode: str = "memory",
-        salt_shift: int | None = None,
         scorer: str = "bm25",
         deleted: np.ndarray | None = None,
         position_mode: str = "first",
+        docs: _DocStore | None = None,
     ):
-        """``seg_paths`` / ``docs_paths``: this bucket's files from the
-        MANIFEST (base first, then generations), so a crashed extend's
-        orphan files are never served.  ``load_mode`` picks where the
-        :class:`_RunStore` comes from; the probes are the same:
+        """``seg_paths`` / ``docs_paths``: this bucket's segments and the
+        index's docs shards, from the MANIFEST (base first, then
+        generations), so a crashed extend's orphan files are never
+        served.  ``docs`` is this bucket's resident :class:`_DocStore`
+        (the lang / warc_ts filters and ``collapse_topk`` read it); None
+        reads a small store per call from ``docs_paths``.  ``load_mode``
+        picks where the :class:`_RunStore` comes from; the probes are
+        the same:
 
         - "memory" — one store over all of this bucket's segments, built
           at open from ``read_table`` with no per-row work.  Right when a
@@ -112,15 +206,15 @@ class SaltSearcher:
           path: actor memory stays O(hot terms), storage does lookups.
         """
         self.salt = salt
+        self.docs = docs
+        self.docs_paths = list(docs_paths)
         self.avgdl = avgdl
         self.k1, self.b = k1, b
         # this bucket's tombstoned doc ids (sorted int64; Lucene-style
         # soft deletes): every query path masks them in _allowed_mask,
         # segments stay immutable, compaction purges them physically
-        self.deleted = (
-            np.asarray(deleted, dtype=np.int64)
-            if deleted is not None and len(deleted)
-            else None
+        self.deleted = np.asarray(
+            deleted if deleted is not None else [], dtype=np.int64
         )
         # pluggable similarity measure (scoring.SCORERS); bounds are
         # (max_tf, min_dl) so any registered scorer works on any index
@@ -139,37 +233,6 @@ class SaltSearcher:
             if load_mode == "memory"
             else None
         )
-        # optional doc metadata for predicate filters (lang / warc_ts) —
-        # bucket-local, analog of the broadcast timeSpanLookup
-        # (TrajectoryResolver.java:250-276) but partitioned, not global
-        self.doc_meta: dict | None = None
-        self._doc_meta_requested = load_doc_meta
-        if load_doc_meta:
-            # salt ranges are contiguous doc_id intervals, so the range
-            # predicate pushes into the parquet read — each searcher
-            # reads ~1/num_salts of the corpus metadata, not all of it
-            filters = None
-            if salt_shift is not None:
-                lo = salt << salt_shift
-                filters = [("doc_id", ">=", lo)]
-                if salt < num_salts - 1:  # tail bucket is open-ended (clamp)
-                    filters.append(("doc_id", "<", (salt + 1) << salt_shift))
-            metas = [
-                pq.read_table(
-                    p, columns=["doc_id", "lang", "warc_ts"], filters=filters
-                )
-                for p in docs_paths
-            ]
-            if metas:
-                t = pa.concat_tables(metas)
-                ids = t["doc_id"].to_numpy().astype(np.int64)
-                order = np.argsort(ids, kind="stable")
-                ts = t["warc_ts"].cast("int64").to_numpy(zero_copy_only=False)
-                self.doc_meta = {
-                    "doc_id": ids[order],
-                    "lang": t["lang"].to_numpy(zero_copy_only=False)[order],
-                    "ts": ts[order],
-                }
 
     def set_params(
         self,
@@ -491,36 +554,20 @@ class SaltSearcher:
         cand = base_ids[ok]
         return cand[self._allowed_mask(cand, lang, ts_lo, ts_hi)]
 
+    def _doc_store(self, ids: np.ndarray) -> _DocStore:
+        """The resident store, or (``docs=None``) one read for ``ids``."""
+        if self.docs is not None:
+            return self.docs
+        return _DocStore.load(self.docs_paths, ids=ids)[0]
+
     def _allowed_mask(self, ids: np.ndarray, lang, ts_lo, ts_hi) -> np.ndarray:
-        ok = np.ones(len(ids), dtype=bool)
-        if self.deleted is not None:
-            pos = np.clip(
-                np.searchsorted(self.deleted, ids), 0, len(self.deleted) - 1
-            )
-            ok &= self.deleted[pos] != ids
+        """Live (not tombstoned) ids passing the lang / warc_ts filters —
+        bucket-local, the analog of the broadcast timeSpanLookup
+        (TrajectoryResolver.java:250-276) but partitioned, not global."""
+        ok = live_mask(self.deleted, ids)
         if lang is None and ts_lo is None and ts_hi is None:
             return ok
-        if self.doc_meta is None:
-            if self._doc_meta_requested:
-                raise ValueError(
-                    "doc metadata was requested but no docs/ parquet shards "
-                    "exist in this index — cannot apply lang/ts filters"
-                )
-            raise ValueError(
-                "lang/ts predicate filters require the engine to be opened "
-                "with load_doc_meta=True"
-            )
-        m = self.doc_meta
-        pos = np.searchsorted(m["doc_id"], ids)
-        pos = np.clip(pos, 0, len(m["doc_id"]) - 1)
-        ok &= m["doc_id"][pos] == ids
-        if lang is not None:
-            ok &= m["lang"][pos] == lang
-        if ts_lo is not None:
-            ok &= m["ts"][pos] >= ts_lo
-        if ts_hi is not None:
-            ok &= m["ts"][pos] <= ts_hi
-        return ok
+        return ok & self._doc_store(ids).mask(ids, lang, ts_lo, ts_hi)
 
     # --- boolean algebra (findByPath:52-62 / findByStrictPath:65-89) ---
 
@@ -625,24 +672,29 @@ class SaltSearcher:
         """
         if after is not None:
             method = "exhaustive"
-        order = np.argsort(np.asarray(term_ids, dtype=np.int64), kind="stable")
-        tids = [term_ids[i] for i in order]
-        ws = [idfs[i] for i in order]
-        posts = []
-        for tid, w in zip(tids, ws):
-            ids, tfs, dls = self.postings(tid)
-            if len(ids):
-                posts.append((tid, w, ids, tfs, dls))
+        posts = self._posts(term_ids, idfs)
         empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
         if not posts:
             return empty
-        if require_all and len(posts) < len(set(tids)):
+        if require_all and len(posts) < len(set(term_ids)):
             return empty  # a term with no postings in this bucket
         if method == "exhaustive":
             return self._topk_exhaustive(
                 posts, k, lang, ts_lo, ts_hi, require_all, after
             )
         return self._topk_wand(posts, k, lang, ts_lo, ts_hi, require_all)
+
+    def _posts(self, term_ids: list[int], idfs: list[float]) -> list[tuple]:
+        """(term_id, weight, ids, tfs, doclens) of each term with postings
+        in this bucket, in ascending term_id order — the accumulation
+        order that keeps every scoring path bit-identical."""
+        order = np.argsort(np.asarray(term_ids, dtype=np.int64), kind="stable")
+        posts = []
+        for i in order:
+            ids, tfs, dls = self.postings(term_ids[i])
+            if len(ids):
+                posts.append((term_ids[i], idfs[i], ids, tfs, dls))
+        return posts
 
     def doc_term_stats(
         self, term_ids: list[int], doc_id: int
@@ -721,32 +773,14 @@ class SaltSearcher:
         group's true maximum, and per-group upper bounds aren't tracked
         in the block metadata — the candidate set is bucket-local so the
         scan stays bounded."""
-        if self.doc_meta is None:
-            raise ValueError(
-                "collapse_topk requires the engine to be opened with "
-                "load_doc_meta=True"
-            )
-        order = np.argsort(np.asarray(term_ids, dtype=np.int64), kind="stable")
-        posts = []
-        for i in order:
-            ids, tfs, dls = self.postings(term_ids[i])
-            if len(ids):
-                posts.append((idfs[i], ids, tfs, dls))
+        posts = self._posts(term_ids, idfs)
         empty = ([], np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
         if not posts:
             return empty
-        uniq = np.unique(np.concatenate([p[1] for p in posts]))
-        scores = np.zeros(len(uniq), dtype=np.float64)
-        for w, ids, tfs, dls in posts:
-            idx = np.searchsorted(uniq, ids)
-            np.add.at(scores, idx, w * self.scorer.tf_norm(tfs, dls, self.avgdl))
-        ok = self._allowed_mask(uniq, lang, ts_lo, ts_hi)
-        uniq, scores = uniq[ok], scores[ok]
+        uniq, scores = self._score_candidates(posts, lang, ts_lo, ts_hi)
         if not len(uniq):
             return empty
-        m = self.doc_meta
-        pos = np.searchsorted(m["doc_id"], uniq)  # all candidates are local
-        groups = m["lang"][pos]
+        groups = self._doc_store(uniq).values("lang", uniq)  # all are local
         valid = np.fromiter((g is not None for g in groups), bool, len(groups))
         uniq, scores, groups = uniq[valid], scores[valid], groups[valid]
         if not len(uniq):
@@ -770,9 +804,10 @@ class SaltSearcher:
         )
         return ids[counts == len(posts)]
 
-    def _topk_exhaustive(
-        self, posts, k, lang, ts_lo, ts_hi, require_all=False, after=None
-    ):
+    def _score_candidates(self, posts, lang, ts_lo, ts_hi, require_all=False):
+        """(doc ids, exact scores) of every allowed candidate — the union
+        of the posting lists, or their intersection under
+        ``require_all`` — accumulated in ``posts`` order."""
         if require_all:
             uniq = self._conjunctive(posts)
             if not len(uniq):
@@ -788,7 +823,14 @@ class SaltSearcher:
                 idx, tfs, dls = idx[hit], tfs[hit], dls[hit]
             np.add.at(scores, idx, w * self.scorer.tf_norm(tfs, dls, self.avgdl))
         ok = self._allowed_mask(uniq, lang, ts_lo, ts_hi)
-        uniq, scores = uniq[ok], scores[ok]
+        return uniq[ok], scores[ok]
+
+    def _topk_exhaustive(
+        self, posts, k, lang, ts_lo, ts_hi, require_all=False, after=None
+    ):
+        uniq, scores = self._score_candidates(
+            posts, lang, ts_lo, ts_hi, require_all
+        )
         if after is not None:
             d_a, s_a = int(after[0]), float(after[1])
             keep = (scores < s_a) | ((scores == s_a) & (uniq > d_a))
