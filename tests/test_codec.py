@@ -65,41 +65,3 @@ def test_varint_roundtrip_property(xs):
 def test_delta_roundtrip_property(xs):
     vals = np.sort(np.array(xs, dtype=np.int64))
     assert np.array_equal(delta_decode(delta_encode(vals), count=len(xs)), vals)
-
-
-def test_bitpack_roundtrip_random():
-    from torchtrajectory_ray.functions.codec import bitpack_decode, bitpack_encode
-
-    rng = np.random.default_rng(11)
-    for _ in range(40):
-        n = int(rng.integers(0, 500))
-        hi = int(rng.choice([2, 256, 1 << 20, 1 << 45, 1 << 62]))
-        vals = rng.integers(0, hi, n)
-        blob = bitpack_encode(vals)
-        assert np.array_equal(bitpack_decode(blob), vals)
-
-
-@given(
-    st.lists(st.integers(min_value=0, max_value=(1 << 63) - 1), max_size=400)
-)
-@settings(deadline=None)
-def test_bitpack_roundtrip_hypothesis(vals):
-    from torchtrajectory_ray.functions.codec import bitpack_decode, bitpack_encode
-
-    arr = np.asarray(vals, dtype=np.int64)
-    assert np.array_equal(bitpack_decode(bitpack_encode(arr)), arr)
-
-
-def test_bitpack_vs_varint_sizes():
-    """Documenting the wire-codec tradeoff: width-packed blocks win on
-    long runs (no per-value continuation bits); varint wins on the short
-    tail-term runs where bitpack's 5-byte header dominates."""
-    from torchtrajectory_ray.functions.codec import bitpack_encode, varint_encode
-
-    rng = np.random.default_rng(5)
-    gaps = rng.integers(1, 30, 1000)        # long run of dense-id deltas
-    assert len(bitpack_encode(gaps)) < len(varint_encode(gaps))
-    big = rng.integers(1 << 30, 1 << 40, 1000)  # wide values: packing wins
-    assert len(bitpack_encode(big)) < len(varint_encode(big))
-    tiny = rng.integers(1, 30, 3)           # tail term: df=3
-    assert len(varint_encode(tiny)) < len(bitpack_encode(tiny))

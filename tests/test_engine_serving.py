@@ -281,13 +281,25 @@ def multi_gen(ray_session, tmp_path_factory):
     return out
 
 
-def test_lazy_load_mode_matches_memory(built, multi_gen):
+def test_lazy_load_mode_matches_memory(built, multi_gen, monkeypatch):
     """load_mode="lazy" (term_id row-group pushdown probes, per-call doc
     stores) must produce bitwise-identical results to the in-memory
     columnar stores — on a one-generation index, and on
     multi-generation indexes with tombstones, an empty bucket and
     unknown terms; ``resolve``, the lang / ts filters and
-    ``collapse_topk`` included."""
+    ``collapse_topk`` included.  A lazy filtered ``topk`` and a lazy
+    ``collapse_topk`` read the docs shards once per bucket with
+    candidates."""
+    from torchtrajectory_ray.state import segment
+
+    loads = []
+    real_load = segment._DocStore.load.__func__
+
+    def counted_load(cls, *args, **kwargs):
+        loads.append(1)
+        return real_load(cls, *args, **kwargs)
+
+    monkeypatch.setattr(segment._DocStore, "load", classmethod(counted_load))
     mem = QueryEngine(built)
     lazy = QueryEngine(built, load_mode="lazy")
     for q in _queries()[:6]:
@@ -330,15 +342,23 @@ def test_lazy_load_mode_matches_memory(built, multi_gen):
             ids = [d for d, _ in mem.topk(terms, k=10)]
             assert mem.explain_docs(terms, ids) == lazy.explain_docs(terms, ids)
             pd.testing.assert_frame_equal(mem.resolve(ids), lazy.resolve(ids))
+            tids, _ = lazy.resolve_terms(terms)
+            hit_buckets = sum(
+                any(len(s.postings(t)[0]) for t in tids) for s in lazy.searchers
+            )
             for filt in filters:
                 for method in ("wand", "exhaustive"):
-                    got = mem.topk(terms, k=10, method=method, **filt)
-                    assert got == lazy.topk(terms, k=10, method=method, **filt)
+                    loads.clear()
+                    got = lazy.topk(terms, k=10, method=method, **filt)
+                    assert len(loads) == hit_buckets
+                    assert got == mem.topk(terms, k=10, method=method, **filt)
                 got = mem.bool_or(terms, **filt).tolist()
                 assert got == lazy.bool_or(terms, **filt).tolist()
+                loads.clear()
+                collapsed = lazy.collapse_topk(terms, k=5, **filt)
+                assert len(loads) == hit_buckets
                 pd.testing.assert_frame_equal(
-                    mem.collapse_topk(terms, k=5, **filt),
-                    lazy.collapse_topk(terms, k=5, **filt),
+                    mem.collapse_topk(terms, k=5, **filt), collapsed
                 )
         hits = mem.phrase_and(phrase)
         assert hits.size and hits.tolist() == lazy.phrase_and(phrase).tolist()

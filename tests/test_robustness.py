@@ -96,8 +96,6 @@ def test_head_term_salting_bounds_runs(ray_session, tmp_path):
 
 def test_codec_extreme_values():
     from torchtrajectory_ray.functions.codec import (
-        bitpack_decode,
-        bitpack_encode,
         delta_decode,
         delta_encode,
         varint_decode,
@@ -106,7 +104,6 @@ def test_codec_extreme_values():
 
     big = np.array([0, 1, (1 << 62) - 1, (1 << 63) - 1], dtype=np.int64)
     assert np.array_equal(varint_decode(varint_encode(big)), big)
-    assert np.array_equal(bitpack_decode(bitpack_encode(big)), big)
     sorted_big = np.sort(big)
     assert np.array_equal(delta_decode(delta_encode(sorted_big)), sorted_big)
     with pytest.raises(ValueError):

@@ -15,7 +15,7 @@ pipelines over Arrow batches:
                        shuffled through storage -> one task per
                        segment compresses -> parquet segments
 - query serving     -> stateful segment-searcher actor pool with
-                       block-max upper-bound pruning (WAND / LORS shape)
+                       block-max upper-bound pruning (MaxScore / LORS shape)
 
 Nothing is copied from the reference; all citations are file:line pointers
 for behavioural parity only.

@@ -40,7 +40,8 @@ class IndexConfig:
     At 10^12-doc scale both grid dimensions grow (thousands × thousands);
     the per-group memory bound is corpus_postings / (shards × salts).
 
-    - ``block_size``: posting block length for block-max WAND metadata.
+    - ``block_size``: posting block length for block-max metadata (the
+      per-term bounds of the MaxScore top-k).
     - ``tokenize_batch_size``: docs per combine batch inside the fused
       build task (each batch becomes one set of partial runs).
     - ``store_positions``: also store a position payload per (term, doc)

@@ -10,7 +10,8 @@ idf(t)      = ln(1 + (N − df + 0.5)/(df + 0.5))        (Lucene-style, ≥ 0)
 
 The per-term **upper bound** idf(t)·(k1+1) plays the role the edge length
 plays in the reference's candidate upper bound (EdgeInvertedIndex.java:121);
-per-block maxima of the tf-normalization term give block-max WAND bounds.
+per-block maxima of the tf-normalization term give the per-term bounds
+of the MaxScore top-k (state/segment.py).
 """
 
 from __future__ import annotations

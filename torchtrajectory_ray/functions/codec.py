@@ -8,7 +8,10 @@ Torch/base/invertedIndex/InvertedIndex.java:26-27,89-136.  Here the same
 shapes are a sorted-doc_id **delta + varint** stream and a plain varint
 stream for small ints (tf, doclen), both encoded/decoded with fully
 vectorized numpy (no per-value Python loop; encode is <= 10 masked passes,
-one per varint byte position, decode is a single reduceat pass).
+one per varint byte position, decode is a single reduceat pass).  Varint
+is the one codec: posting runs are often short (tail terms, per-batch
+partials), where it needs no per-block header or length framing, and a
+searcher decodes a term's id, tf and doclen streams in one pass.
 
 All values must be non-negative int64 (doc ids, tfs, doclens, positions).
 """
@@ -159,86 +162,6 @@ def delta_decode_concat(blobs, lengths: np.ndarray) -> np.ndarray:
     base = np.zeros(len(lengths), dtype=np.int64)
     base[1:] = cs[starts[1:] - 1]
     return cs - np.repeat(base, lengths)
-
-
-_BP_BLOCK = 128
-
-
-def bitpack_encode(values: np.ndarray) -> bytes:
-    """FastPFOR-style frame-of-reference bit packing (vectorized).
-
-    Blocks of 128 values; per block a 1-byte bit width then the values
-    packed LSB-first at that width.  The shape of the reference's
-    ``IntCompressor`` (JavaFastPFOR) block codec; exceptions/patching are
-    omitted — a block's width is its max value's width.  Denser than
-    varint on long runs (no per-value continuation bits); the varint
-    codec stays the wire default because posting runs are often SHORT
-    (tail terms, per-batch partials) where bitpack's 5-byte header
-    dominates, and varint needs no per-run length framing.
-    """
-    v = np.ascontiguousarray(values, dtype=np.int64)
-    if v.size == 0:
-        return b""
-    if v.min() < 0:
-        raise ValueError("bitpack_encode requires non-negative values")
-    u = v.astype(_U64)
-    out = bytearray()
-    out += len(u).to_bytes(4, "little")
-    for b0 in range(0, len(u), _BP_BLOCK):
-        blk = u[b0 : b0 + _BP_BLOCK]
-        mx = int(blk.max())
-        width = max(1, mx.bit_length())
-        out.append(width)
-        n = len(blk)
-        bit_lo = np.arange(n, dtype=np.int64) * width
-        word = bit_lo >> 6
-        off = (bit_lo & 63).astype(np.uint64)
-        words = np.zeros((int(bit_lo[-1]) + width + 63) // 64 + 1, dtype=np.uint64)
-        np.bitwise_or.at(words, word, blk << off)
-        spill = off.astype(np.int64) + width > 64
-        if spill.any():
-            np.bitwise_or.at(
-                words,
-                word[spill] + 1,
-                blk[spill] >> (np.uint64(64) - off[spill]),
-            )
-        nbytes = (n * width + 7) // 8
-        out += words.tobytes()[:nbytes]
-    return bytes(out)
-
-
-def bitpack_decode(blob: bytes) -> np.ndarray:
-    """Inverse of :func:`bitpack_encode` (vectorized gather per block)."""
-    if len(blob) == 0:
-        return np.empty(0, dtype=np.int64)
-    total = int.from_bytes(blob[:4], "little")
-    out = np.empty(total, dtype=np.int64)
-    pos = 4
-    done = 0
-    while done < total:
-        width = blob[pos]
-        pos += 1
-        n = min(_BP_BLOCK, total - done)
-        nbytes = (n * width + 7) // 8
-        raw = blob[pos : pos + nbytes]
-        words = np.frombuffer(raw.ljust(((nbytes + 7) // 8) * 8 + 8, b"\0"), dtype=np.uint64)
-        bit_lo = np.arange(n, dtype=np.int64) * width
-        word = bit_lo >> 6
-        off = (bit_lo & 63).astype(np.uint64)
-        lo = words[word] >> off
-        # np.where evaluates both branches: clamp the shift to <64 on the
-        # lanes that are discarded (off==0 would shift by 64 — UB)
-        safe_shift = (np.uint64(64) - off) & np.uint64(63)
-        hi = np.where(
-            off.astype(np.int64) + width > 64,
-            words[word + 1] << safe_shift,
-            np.uint64(0),
-        )
-        mask = np.uint64((1 << width) - 1) if width < 64 else np.uint64(0xFFFFFFFFFFFFFFFF)
-        out[done : done + n] = ((lo | hi) & mask).astype(np.int64)
-        pos += nbytes
-        done += n
-    return out
 
 
 def concat_aranges(counts: np.ndarray) -> np.ndarray:

@@ -484,7 +484,7 @@ class QueryEngine:
     ) -> list[tuple[int, float]]:
         """Per-term boosted retrieval (the ``term^boost`` query
         operator): each term's idf weight is scaled by its boost before
-        scoring.  WAND upper bounds are computed from the same scaled
+        scoring.  MaxScore upper bounds are computed from the same scaled
         weight, so pruning stays exact; a zero/negative boost fails loud
         (use bool_and_not for exclusion)."""
         items = sorted(boosts.items() if isinstance(boosts, dict) else boosts)
@@ -1697,7 +1697,7 @@ class QueryEngine:
           + bare terms), cut to k after the candidate mask.
 
         The mask applies post-scoring (exact; a serving-scale engine
-        would push the id set into WAND — the mask is bounded by the
+        would push the id set into MaxScore — the mask is bounded by the
         scored candidate count, the same cost shape as ``topk_purged``'s
         protocol).  Only-negative or empty queries fail loud."""
         from torchtrajectory_ray.functions.querylang import parse_query

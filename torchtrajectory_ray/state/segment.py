@@ -4,9 +4,10 @@ Analog of the reference's in-memory compressed index + per-query decode
 (``InvertedIndex.build`` keeps lists compressed, ``getPairs`` decodes on
 access — /root/reference/src/main/java/au/edu/rmit/bdm/Torch/base/
 invertedIndex/InvertedIndex.java:170-209,138-161) and of its LORS top-k
-(EdgeInvertedIndex.java:102-177): rank candidates by upper bound, pop in
-bound order, exact-score, terminate when the k-th best beats the next
-bound.
+(EdgeInvertedIndex.java:102-177), which stops before the work: the
+pruned top-k is **MaxScore** — a per-term upper bound from the segments'
+block-max metadata, a threshold from the rarest lists, and candidates
+drawn only from the lists that can still lift a doc above it.
 
 One searcher owns one **salt bucket** (a disjoint doc_id range) and loads
 that bucket's posting runs from every term shard.  Because all of a doc's
@@ -18,6 +19,8 @@ in-process for tests.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -26,7 +29,7 @@ import pyarrow.parquet as pq
 from torchtrajectory_ray.functions.codec import (
     concat_aranges,
     delta_decode_concat,
-    varint_decode_concat,
+    varint_decode,
 )
 from torchtrajectory_ray.functions.scoring import make_scorer
 
@@ -46,6 +49,34 @@ def live_mask(deleted: np.ndarray, ids: np.ndarray) -> np.ndarray:
         return np.ones(len(ids), dtype=bool)
     pos = np.minimum(np.searchsorted(deleted, ids), deleted.size - 1)
     return deleted[pos] != ids
+
+
+class _LRU:
+    """A cache of at most ``size`` entries that evicts the least recently
+    used one — every per-term cache of a searcher.  ``get`` counts as a
+    use; ``in`` and ``[]`` only look."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self._d: OrderedDict = OrderedDict()
+
+    def __contains__(self, key) -> bool:
+        return key in self._d
+
+    def __getitem__(self, key):
+        return self._d[key]
+
+    def get(self, key):
+        """The entry at ``key``, now the most recent, or None."""
+        hit = self._d.get(key)
+        if hit is not None:
+            self._d.move_to_end(key)
+        return hit
+
+    def put(self, key, value) -> None:
+        self._d[key] = value
+        if len(self._d) > self.size:
+            self._d.popitem(last=False)
 
 
 class _DocStore:
@@ -223,10 +254,10 @@ class SaltSearcher:
         # reference layout; "full" = every occurrence, Lucene layout) —
         # from the build manifest via the engine
         self.position_mode = position_mode
-        self._term_stores: dict[int, _RunStore] = {}  # lazy mode only
-        self._decoded_cache: dict[int, tuple] = {}
-        self._pos_cache: dict[int, tuple] = {}
-        self._posfull_cache: dict[int, tuple] = {}
+        self._term_stores = _LRU(self._LAZY_CACHE_MAX)  # lazy mode only
+        self._decoded_cache = _LRU(self._DECODED_CACHE_MAX)
+        self._pos_cache = _LRU(self._DECODED_CACHE_MAX)
+        self._posfull_cache = _LRU(self._DECODED_CACHE_MAX)
         self.seg_paths = list(seg_paths)
         self._store = (
             _RunStore([pq.read_table(p, columns=_COLS) for p in self.seg_paths])
@@ -271,14 +302,12 @@ class SaltSearcher:
             st = _RunStore(
                 [pq.read_table(p, columns=_COLS, filters=where) for p in self.seg_paths]
             )
-            if len(self._term_stores) >= self._LAZY_CACHE_MAX:
-                self._term_stores.clear()  # simple epoch eviction
-            self._term_stores[term_id] = st
+            self._term_stores.put(term_id, st)
         return st, st.rows(term_id)
 
     def _rows(self, term_id: int) -> list[dict]:
         """One mapping per run: its ``df`` and views of its block-bound
-        lists (what WAND's upper bounds read)."""
+        lists."""
         st, rows = self._runs(term_id)
         blocks = zip(*(st.cells(c, rows) for c in _BLOCKS))
         return [
@@ -292,10 +321,11 @@ class SaltSearcher:
 
     def postings(self, term_id: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Decoded (doc_ids, tfs, doclens) for a term in this bucket,
-        runs concatenated in salt order (single salt here → ≤1 run).
-        Hot terms stay decoded in a small cache — the reference decodes
-        per probe (InvertedIndex.java:138-148); with 10^6-posting head
-        terms the decode dominates query latency, so serving caches it."""
+        runs concatenated in manifest order (base, then generations).
+        Hot terms stay decoded in a small LRU cache — the reference
+        decodes per probe (InvertedIndex.java:138-148); with 10^6-posting
+        head terms the decode dominates query latency, so serving caches
+        it."""
         hit = self._decoded_cache.get(term_id)
         if hit is not None:
             return hit
@@ -303,18 +333,27 @@ class SaltSearcher:
         if not rows:
             e = np.empty(0, dtype=np.int64)
             return e, e, e
-        ids, tfs = self._ids_tfs(st, rows)
-        dls = varint_decode_concat(st.cells("doclens_blob", rows), ids.size)
-        if len(self._decoded_cache) >= self._DECODED_CACHE_MAX:
-            self._decoded_cache.clear()  # simple epoch eviction
-        self._decoded_cache[term_id] = (ids, tfs, dls)
-        return ids, tfs, dls
+        out = tuple(self._decode(st, rows, "tfs_blob", "doclens_blob"))
+        self._decoded_cache.put(term_id, out)
+        return out
 
     @staticmethod
-    def _ids_tfs(st: _RunStore, rows: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Decoded doc ids and tfs of ``rows``, runs concatenated."""
-        ids = delta_decode_concat(st.cells("doc_ids_blob", rows), st.df[rows])
-        return ids, varint_decode_concat(st.cells("tfs_blob", rows), ids.size)
+    def _decode(st: _RunStore, rows: list[int], *cols: str) -> list[np.ndarray]:
+        """Doc ids and one int per posting from each of ``cols`` of
+        ``rows``, runs concatenated — one varint pass over the joined
+        cells (per-call numpy overhead, not bytes, dominates a short
+        term's decode).  The id deltas restart at every run, as in
+        ``delta_decode_concat``."""
+        cols = ("doc_ids_blob", *cols)
+        df = st.df[rows]
+        n = int(df.sum())
+        blob = b"".join([c for col in cols for c in st.cells(col, rows)])
+        vals = varint_decode(blob, n * len(cols))
+        ids = np.cumsum(vals[:n], out=vals[:n])  # in place: no extra copy
+        if len(rows) > 1:
+            ends = np.cumsum(df)[:-1]
+            ids -= np.repeat(np.concatenate(([0], ids[ends - 1])), df)
+        return [ids, *(vals[i * n : (i + 1) * n] for i in range(1, len(cols)))]
 
     def term_doc_stats(
         self, term_id: int, want: np.ndarray
@@ -342,9 +381,7 @@ class SaltSearcher:
         if self.position_mode == "full":
             ids, offsets, pos_flat = self.positions_full(term_id)
             first = pos_flat[offsets[:-1]] if ids.size else pos_flat
-            if len(self._pos_cache) >= self._DECODED_CACHE_MAX:
-                self._pos_cache.clear()
-            self._pos_cache[term_id] = (ids, first)
+            self._pos_cache.put(term_id, (ids, first))
             return ids, first
         st, rows = self._runs(term_id)
         if not rows:
@@ -356,11 +393,8 @@ class SaltSearcher:
                 "index was built without store_positions=True; phrase "
                 "queries need the position payload"
             )
-        ids = delta_decode_concat(st.cells("doc_ids_blob", rows), st.df[rows])
-        pos = varint_decode_concat(blobs, ids.size)
-        if len(self._pos_cache) >= self._DECODED_CACHE_MAX:
-            self._pos_cache.clear()
-        self._pos_cache[term_id] = (ids, pos)
+        ids, pos = self._decode(st, rows, "pos_blob")
+        self._pos_cache.put(term_id, (ids, pos))
         return ids, pos
 
     def positions_full(
@@ -386,12 +420,10 @@ class SaltSearcher:
         if not rows:
             e = np.empty(0, dtype=np.int64)
             return e, np.zeros(1, dtype=np.int64), e
-        ids, tfs = self._ids_tfs(st, rows)
+        ids, tfs = self._decode(st, rows, "tfs_blob")
         pos_flat = delta_decode_concat(st.cells("pos_blob", rows), tfs)
         offsets = np.concatenate(([0], np.cumsum(tfs)))
-        if len(self._posfull_cache) >= self._DECODED_CACHE_MAX:
-            self._posfull_cache.clear()
-        self._posfull_cache[term_id] = (ids, offsets, pos_flat)
+        self._posfull_cache.put(term_id, (ids, offsets, pos_flat))
         return ids, offsets, pos_flat
 
     _ORD_SHIFT = 32  # composite verify key = candidate ordinal << 32 | pos
@@ -560,14 +592,19 @@ class SaltSearcher:
             return self.docs
         return _DocStore.load(self.docs_paths, ids=ids)[0]
 
-    def _allowed_mask(self, ids: np.ndarray, lang, ts_lo, ts_hi) -> np.ndarray:
+    def _allowed_mask(
+        self, ids: np.ndarray, lang, ts_lo, ts_hi, docs: _DocStore | None = None
+    ) -> np.ndarray:
         """Live (not tombstoned) ids passing the lang / warc_ts filters —
         bucket-local, the analog of the broadcast timeSpanLookup
-        (TrajectoryResolver.java:250-276) but partitioned, not global."""
+        (TrajectoryResolver.java:250-276) but partitioned, not global.
+        ``docs`` is a store holding ``ids`` (default: :meth:`_doc_store`)."""
         ok = live_mask(self.deleted, ids)
         if lang is None and ts_lo is None and ts_hi is None:
             return ok
-        return ok & self._doc_store(ids).mask(ids, lang, ts_lo, ts_hi)
+        if docs is None:
+            docs = self._doc_store(ids)
+        return ok & docs.mask(ids, lang, ts_lo, ts_hi)
 
     # --- boolean algebra (findByPath:52-62 / findByStrictPath:65-89) ---
 
@@ -654,35 +691,36 @@ class SaltSearcher:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Bucket-local BM25 top-k → (doc_ids, scores), unsorted length ≤ k.
 
-        Deterministic float accumulation: contributions are added in
-        ascending term_id order in both methods, so ``wand`` and
-        ``exhaustive`` produce bit-identical scores.
+        ``method="wand"`` (the default; the name of the pruned path) runs
+        exact MaxScore (:meth:`_topk_maxscore`); ``"exhaustive"`` scores
+        every candidate.  Both add contributions in ascending term_id
+        order, so they produce bit-identical ranks and scores.
 
         ``require_all`` scores ONLY docs containing every query term
         (ranked conjunctive retrieval) — valid bucket-locally because a
-        doc's postings for all terms live in its one salt bucket.
+        doc's postings for all terms live in its one salt bucket.  Its
+        candidates are already the intersection, so it scores them
+        exhaustively.
 
         ``after=(doc_id, score)`` — a result row of a previous page —
         keeps only docs STRICTLY after the cursor in (score desc,
         doc_id asc) order — cursor pagination
         (Lucene searchAfter).  Exact because scoring is bit-deterministic,
         so a cursor from a previous page compares equal bitwise; forces
-        exhaustive bucket scoring (WAND's threshold prunes from above,
+        exhaustive bucket scoring (a top-k threshold prunes from above,
         the wrong side of a cursor).
         """
-        if after is not None:
-            method = "exhaustive"
         posts = self._posts(term_ids, idfs)
         empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
         if not posts:
             return empty
         if require_all and len(posts) < len(set(term_ids)):
             return empty  # a term with no postings in this bucket
-        if method == "exhaustive":
+        if method == "exhaustive" or require_all or after is not None:
             return self._topk_exhaustive(
                 posts, k, lang, ts_lo, ts_hi, require_all, after
             )
-        return self._topk_wand(posts, k, lang, ts_lo, ts_hi, require_all)
+        return self._topk_maxscore(posts, k, lang, ts_lo, ts_hi)
 
     def _posts(self, term_ids: list[int], idfs: list[float]) -> list[tuple]:
         """(term_id, weight, ids, tfs, doclens) of each term with postings
@@ -769,7 +807,7 @@ class SaltSearcher:
         same float-stable protocol as the topk gates.  Returns parallel
         (group values, doc_ids, scores); docs with a null group drop out.
 
-        Exhaustive (not WAND) on purpose: a collapsed ranking needs each
+        Exhaustive (not MaxScore) on purpose: a collapsed ranking needs each
         group's true maximum, and per-group upper bounds aren't tracked
         in the block metadata — the candidate set is bucket-local so the
         scan stays bounded."""
@@ -777,10 +815,13 @@ class SaltSearcher:
         empty = ([], np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
         if not posts:
             return empty
-        uniq, scores = self._score_candidates(posts, lang, ts_lo, ts_hi)
+        uniq = self._union([p[2] for p in posts])
+        docs = self._doc_store(uniq)  # one store serves the filter and groups
+        uniq = uniq[self._allowed_mask(uniq, lang, ts_lo, ts_hi, docs)]
         if not len(uniq):
             return empty
-        groups = self._doc_store(uniq).values("lang", uniq)  # all are local
+        scores = self._score(posts, uniq)
+        groups = docs.values("lang", uniq)  # all are local
         valid = np.fromiter((g is not None for g in groups), bool, len(groups))
         uniq, scores, groups = uniq[valid], scores[valid], groups[valid]
         if not len(uniq):
@@ -796,6 +837,12 @@ class SaltSearcher:
         return groups[keep].tolist(), uniq[keep], scores[keep]
 
     @staticmethod
+    def _union(lists: list[np.ndarray]) -> np.ndarray:
+        """Sorted unique doc ids of the posting ``lists`` (each is already
+        sorted and unique)."""
+        return lists[0] if len(lists) == 1 else np.unique(np.concatenate(lists))
+
+    @staticmethod
     def _conjunctive(posts) -> np.ndarray:
         """Docs present in EVERY posting list (the bool_and count
         intersection, reused by ranked-AND)."""
@@ -804,125 +851,109 @@ class SaltSearcher:
         )
         return ids[counts == len(posts)]
 
-    def _score_candidates(self, posts, lang, ts_lo, ts_hi, require_all=False):
-        """(doc ids, exact scores) of every allowed candidate — the union
-        of the posting lists, or their intersection under
-        ``require_all`` — accumulated in ``posts`` order."""
-        if require_all:
-            uniq = self._conjunctive(posts)
-            if not len(uniq):
-                return uniq, np.empty(0, dtype=np.float64)
-        else:
-            uniq = np.unique(np.concatenate([p[2] for p in posts]))
-        scores = np.zeros(len(uniq), dtype=np.float64)
+    def _score(self, posts, cand: np.ndarray) -> np.ndarray:
+        """Exact scores of the sorted, unique ``cand``: one searchsorted
+        into every list, contributions added in ``posts`` order (ascending
+        term_id) — the same float sum whichever lists ``cand`` came from."""
+        scores = np.zeros(len(cand), dtype=np.float64)
         for _, w, ids, tfs, dls in posts:
-            idx = np.searchsorted(uniq, ids)
-            if require_all:  # uniq is a subset: drop non-members
-                idx = np.clip(idx, 0, len(uniq) - 1)
-                hit = uniq[idx] == ids
-                idx, tfs, dls = idx[hit], tfs[hit], dls[hit]
-            np.add.at(scores, idx, w * self.scorer.tf_norm(tfs, dls, self.avgdl))
-        ok = self._allowed_mask(uniq, lang, ts_lo, ts_hi)
-        return uniq[ok], scores[ok]
+            j = np.minimum(np.searchsorted(ids, cand), len(ids) - 1)
+            hit = ids[j] == cand
+            j = j[hit]
+            scores[hit] += w * self.scorer.tf_norm(tfs[j], dls[j], self.avgdl)
+        return scores
+
+    @staticmethod
+    def _best(ids: np.ndarray, scores: np.ndarray, k: int):
+        """The top ``k`` of (ids, scores) by (score desc, doc_id asc)."""
+        if len(ids) <= k:
+            return ids, scores
+        neg = -scores
+        kth = np.partition(neg, k - 1)[k - 1]
+        top = np.flatnonzero(~(neg > kth))  # k best + ties; NaN sorts last
+        sel = top[np.lexsort((ids[top], neg[top]))[:k]]
+        return ids[sel], scores[sel]
 
     def _topk_exhaustive(
         self, posts, k, lang, ts_lo, ts_hi, require_all=False, after=None
     ):
-        uniq, scores = self._score_candidates(
-            posts, lang, ts_lo, ts_hi, require_all
-        )
-        if after is not None:
-            d_a, s_a = int(after[0]), float(after[1])
-            keep = (scores < s_a) | ((scores == s_a) & (uniq > d_a))
-            uniq, scores = uniq[keep], scores[keep]
-        if len(uniq) > k:
-            # top-k by (score desc, doc_id asc)
-            sel = np.lexsort((uniq, -scores))[:k]
-            return uniq[sel], scores[sel]
-        return uniq, scores
-
-    def _topk_wand(self, posts, k, lang, ts_lo, ts_hi, require_all=False):
-        """LORS-shaped upper-bound pruning (EdgeInvertedIndex.java:102-177)
-        with block-max bounds: accumulate per-candidate upper bounds from
-        per-block maxima, visit candidates in bound-descending order,
-        exact-score each, stop when bestKth ≥ next upper bound."""
+        """Score every allowed candidate — the union of the lists, or
+        their intersection under ``require_all``."""
         cand = (
             self._conjunctive(posts)
             if require_all
-            else np.unique(np.concatenate([p[2] for p in posts]))
+            else self._union([p[2] for p in posts])
         )
-        if not len(cand):
-            return cand, np.empty(0, dtype=np.float64)
-        ub = np.zeros(len(cand), dtype=np.float64)
-        for tid, w, ids, tfs, dls in posts:
-            # per-posting block-max bound (tighter than idf·(k1+1))
-            off = 0
-            for r in self._rows(tid):
-                n, blk_last = r["df"], r["blk_last"]
-                blk_max = self.scorer.tf_norm(
-                    r["blk_max_tf"], r["blk_min_dl"], self.avgdl
-                )
-                seg_ids = ids[off : off + n]
-                blk_of = np.searchsorted(blk_last, seg_ids)
-                idx = np.searchsorted(cand, seg_ids)
-                bm = blk_max[np.minimum(blk_of, len(blk_max) - 1)]
-                if require_all:  # cand is a subset: drop non-members
-                    idx = np.clip(idx, 0, len(cand) - 1)
-                    hit = cand[idx] == seg_ids
-                    idx, bm = idx[hit], bm[hit]
-                ub[idx] += w * bm
-                off += n
-        ok = self._allowed_mask(cand, lang, ts_lo, ts_hi)
-        cand, ub = cand[ok], ub[ok]
-        if len(cand) == 0:
-            return cand, ub
-        # visit in (ub desc, doc_id asc) order — the candidate heap — in
-        # vectorized chunks: a chunk is exact-scored in one pass per term,
-        # then the LORS termination check runs against the NEXT chunk's
-        # best bound (bestKth ≥ every later bound ⇒ stop).  Same pruning
-        # semantics as the per-candidate loop, ~100× fewer Python steps.
-        visit = np.lexsort((cand, -ub))
-        # geometric chunk growth: when bounds prune well the first small
-        # chunks terminate cheaply; when they don't (uniform scores), the
-        # loop degrades gracefully into ~O(log n) vectorized passes over
-        # everything instead of n/CH small ones
-        CH = max(k, 512)
-        out_ids: list[np.ndarray] = []
-        out_scores: list[np.ndarray] = []
-        n_scored = 0
-        kth = -np.inf
-        c0 = 0
-        while c0 < len(visit):
-            # STRICT inequality (the reference's `bestKth > upperBound`
-            # break, EdgeInvertedIndex.java:160): a candidate whose bound
-            # ties the kth score can still tie exactly and win the
-            # (score desc, doc_id asc) tie-break, so it must be scored
-            if n_scored >= k and ub[visit[c0]] < kth:
+        cand = cand[self._allowed_mask(cand, lang, ts_lo, ts_hi)]
+        scores = self._score(posts, cand)
+        if after is not None:
+            d_a, s_a = int(after[0]), float(after[1])
+            keep = (scores < s_a) | ((scores == s_a) & (cand > d_a))
+            cand, scores = cand[keep], scores[keep]
+        return self._best(cand, scores, k)
+
+    def _term_bound(self, term_id: int) -> float:
+        """The largest ``tf_norm`` any posting of ``term_id`` in this
+        bucket can reach: the best (max_tf, min_dl) block bound over
+        every block of every run (the scorer's monotonicity contract)."""
+        st, rows = self._runs(term_id)
+        max_tf = np.concatenate(st.cells("blk_max_tf", rows))
+        min_dl = np.concatenate(st.cells("blk_min_dl", rows))
+        return float(self.scorer.tf_norm(max_tf, min_dl, self.avgdl).max())
+
+    def _topk_maxscore(self, posts, k, lang, ts_lo, ts_hi):
+        """Exact MaxScore top-k: prune whole lists before any candidate
+        is gathered from them (LORS stops before the work the same way,
+        EdgeInvertedIndex.java:102-177).
+
+        1. ``U_t = w_t · _term_bound(t)`` bounds any contribution of t.
+        2. θ is the k-th best exact score among the allowed docs of the
+           rarest lists, added in ascending length until k exist.
+        3. The non-essential set N is the longest prefix of the lists in
+           ascending-U order whose bound — the U's summed in ``posts``
+           (ascending term_id) order — stays strictly below θ.
+        4. Candidates are the union of the essential lists only; each is
+           exact-scored against every list (:meth:`_score`).  When every
+           essential list is a seed list, the scored seed holds them all.
+
+        Exact: a doc found only in N lists scores at most bound(N) —
+        float addition is monotone and both sums run in the same order —
+        which is below θ, and θ is at most the final k-th score, so the
+        doc cannot enter the top-k even on a (score desc, doc_id asc)
+        tie.  The bounds need every ``w ≥ 0`` (an ``update(n_docs=…)``
+        below a term's df makes its BM25 idf negative): otherwise, or
+        when a bound is not finite, every candidate is scored."""
+        w = np.array([p[1] for p in posts], dtype=np.float64)
+        ub = w * np.array([self._term_bound(p[0]) for p in posts])
+        valid = (w >= 0).all() and (ub >= 0).all() and np.isfinite(ub).all()
+        if k < 1 or not valid:
+            return self._topk_exhaustive(posts, k, lang, ts_lo, ts_hi)
+        docs = self.docs
+        if docs is None and not (lang is None and ts_lo is None and ts_hi is None):
+            # lazy mode: one per-call store serves both masks below
+            docs = self._doc_store(self._union([p[2] for p in posts]))
+        rare = sorted(range(len(posts)), key=lambda i: len(posts[i][2]))
+        for m in range(1, len(posts) + 1):
+            lists = [posts[i][2] for i in rare[:m]]
+            if m < len(posts) and sum(map(len, lists)) < k:
+                continue
+            seed = self._union(lists)
+            seed = seed[self._allowed_mask(seed, lang, ts_lo, ts_hi, docs)]
+            if len(seed) >= k:
                 break
-            chunk = visit[c0 : c0 + CH]
-            c0 += CH
-            CH *= 4
-            d = cand[chunk]
-            order = np.argsort(d, kind="stable")
-            d_sorted = d[order]
-            s = np.zeros(len(d_sorted), dtype=np.float64)
-            for _, w, ids, tfs, dls in posts:
-                j = np.searchsorted(ids, d_sorted)
-                j = np.clip(j, 0, len(ids) - 1)
-                hit = ids[j] == d_sorted
-                if hit.any():
-                    s[hit] += w * self.scorer.tf_norm(
-                        tfs[j[hit]], dls[j[hit]], self.avgdl
-                    )
-            out_ids.append(d_sorted)
-            out_scores.append(s)
-            n_scored += len(d_sorted)
-            if n_scored >= k:
-                allsc = np.concatenate(out_scores)
-                kth = np.partition(allsc, len(allsc) - k)[len(allsc) - k]
-        ids_arr = np.concatenate(out_ids)
-        sc_arr = np.concatenate(out_scores)
-        if len(ids_arr) > k:
-            sel = np.lexsort((ids_arr, -sc_arr))[:k]
-            return ids_arr[sel], sc_arr[sel]
-        return ids_arr, sc_arr
+        else:  # fewer than k allowed candidates in all: nothing to prune
+            return seed, self._score(posts, seed)
+        scores = self._score(posts, seed)
+        theta = np.partition(scores, len(scores) - k)[len(scores) - k]
+        non = np.zeros(len(posts), dtype=bool)
+        # θ is a real score, so bound(all lists) ≥ θ: one stays essential
+        for i in np.argsort(ub, kind="stable")[:-1]:
+            non[i] = True
+            if not np.cumsum(ub[non])[-1] < theta:  # summed in posts order
+                non[i] = False
+                break
+        if non[rare[m:]].all():  # the seed holds every essential candidate
+            return self._best(seed, scores, k)
+        cand = self._union([p[2] for p, n in zip(posts, non) if not n])
+        cand = cand[self._allowed_mask(cand, lang, ts_lo, ts_hi, docs)]
+        return self._best(cand, self._score(posts, cand), k)
