@@ -587,7 +587,7 @@ def run_suite(sf_dir: str, num_cpus: int) -> dict:
 
     timed("explain_topk", lambda: _corpus.explain_topk(sf_dir))
 
-    regressions = _regressions(timings, retry_fns)
+    regressions = _regressions(timings, num_cpus, retry_fns)
     extra["index_docs_per_s"] = round(n_docs / timings["index_build"], 1)
     out = {
         "metric": "e2e_suite_seconds",
@@ -602,9 +602,14 @@ def run_suite(sf_dir: str, num_cpus: int) -> dict:
     return out
 
 
-def _regressions(timings: dict[str, float], retry_fns: dict | None = None) -> dict:
-    """Fail-loud comparison against the LATEST recorded round bench
-    (highest-numbered BENCH_r*.json): any shared pipeline >1.4× slower
+def _regressions(
+    timings: dict[str, float], num_cpus: int, retry_fns: dict | None = None
+) -> dict:
+    """Fail-loud comparison against the LATEST recorded round bench run
+    on the same CPU count (highest-numbered parsed BENCH_r*.json whose
+    ``num_cpus`` equals ``num_cpus``; timings from another CPU count say
+    nothing about this change, so with no such record nothing is flagged
+    and ``no_reference`` says why): any shared pipeline >1.4× slower
     AND >0.5 s absolute is reported in the JSON line and on stderr, so a
     change can't silently regress the suite.  (Single-run timings of
     ~1-3 s pipelines swing ±20-30% with VM CPU steal; 1.3× flagged
@@ -621,19 +626,22 @@ def _regressions(timings: dict[str, float], retry_fns: dict | None = None) -> di
 
     refs = sorted(glob.glob(os.path.join(REPO, "BENCH_r[0-9]*.json")))
     ref, ref_path = {}, None
-    # newest round whose record actually parsed (r3's was truncated —
-    # a null parsed reference must fall back, not disable the gate)
+    # newest round whose record parsed (r3's was truncated — a null
+    # parsed reference must fall back, not disable the gate) and ran on
+    # this CPU count
     for cand_path in reversed(refs):
         try:
             with open(cand_path) as f:
                 parsed = json.load(f).get("parsed") or {}
-            if parsed.get("queries"):
+            if parsed.get("queries") and parsed.get("num_cpus") == num_cpus:
                 ref, ref_path = parsed["queries"], cand_path
                 break
         except Exception:
             continue
     if not ref:
-        return {}
+        note = f"no parsed BENCH_r*.json ran with num_cpus={num_cpus}"
+        print(f"bench: {note}; nothing compared", file=sys.stderr)
+        return {"no_reference": note}
     ref_tag = os.path.basename(ref_path).replace("BENCH_", "").replace(
         ".json", ""
     )

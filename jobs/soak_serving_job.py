@@ -10,8 +10,7 @@ measures:
   full corpus vocabulary size (the dictionary is the scan target, so
   this is the operator's true scale axis)
 - ``facet_counts`` on a stopword-grade OR query — candidate set is a
-  corpus-scale fraction, forcing the broadcast-membership DISTRIBUTED
-  branch; also timed on the pushdown branch cap for contrast
+  corpus-scale fraction, read from the resident doc stores
 - ``search_with_snippets`` — k×queries-bounded hydration (scale-flat
   by design; measured to prove the bound holds at 1M docs)
 
@@ -91,17 +90,7 @@ def main() -> None:
     hot = [eng._terms[i] for i in np.argsort(dfs)[-2:]]
     ids = eng.bool_or(hot)
     out["facet_candidates"] = int(len(ids))
-    f = timed(
-        "facet_distributed",
-        lambda: eng.facet_counts(hot, facet_col="lang", max_candidates=0),
-    )
-    f2 = timed(
-        "facet_pushdown",
-        lambda: eng.facet_counts(
-            hot, facet_col="lang", max_candidates=1 << 62
-        ),
-    )
-    assert f.equals(f2), "facet branches disagree"
+    f = timed("facet_hot", lambda: eng.facet_counts(hot, facet_col="lang"))
     out["facet_docs"] = int(f["n_docs"].sum())
 
     # unordered proximity on the two hottest terms: the AND candidate
@@ -161,16 +150,11 @@ def main() -> None:
     wt = timed("wildcard_scan", lambda: eng.wildcard_terms("w00*1"))
     out["wildcard_terms"] = int(len(wt))
     # sort-by-field + range facet on the corpus-scale hot OR candidate
-    # set — both exercise the distributed membership branch
+    # set, both read from the resident doc stores
+    timed("sort_by_hot", lambda: eng.sort_by(hot, field="doclen", k=10))
     timed(
-        "sort_by_hot_distributed",
-        lambda: eng.sort_by(hot, field="doclen", k=10, max_candidates=0),
-    )
-    timed(
-        "facet_doclen_hot_distributed",
-        lambda: eng.facet_counts(
-            hot, facet_col="doclen", bucket_width=16, max_candidates=0
-        ),
+        "facet_doclen_hot",
+        lambda: eng.facet_counts(hot, facet_col="doclen", bucket_width=16),
     )
 
     # --- positional-postings route at 1M docs ---

@@ -516,14 +516,14 @@ def test_fuzzy_or_unions_variant_postings(built):
     assert got.tolist() == expect.tolist()
 
 
-def test_facet_counts_pushdown_equals_distributed(built):
+def test_facet_counts_resident_equals_lazy(built):
     eng = QueryEngine(built)
     terms = _queries()[0]["terms"]
-    small = eng.facet_counts(terms, facet_col="lang")
-    # max_candidates=0 forces the broadcast-membership distributed scan
-    dist = eng.facet_counts(terms, facet_col="lang", max_candidates=0)
-    assert small.equals(dist)
-    assert int(small["n_docs"].sum()) == len(eng.bool_or(terms))
+    resident = eng.facet_counts(terms, facet_col="lang")
+    # lazy mode reads the match set's docs with one pushdown read
+    lazy = QueryEngine(built, load_mode="lazy").facet_counts(terms, facet_col="lang")
+    assert resident.equals(lazy)
+    assert int(resident["n_docs"].sum()) == len(eng.bool_or(terms))
 
 
 def test_facet_counts_and_mode_and_empty(built):

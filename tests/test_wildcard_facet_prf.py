@@ -64,15 +64,6 @@ def test_facet_doclen_buckets_and_guards(ray_session):
         eng.facet_counts(["the"], facet_col="doclen", bucket_width=0)
 
 
-def test_facet_doclen_distributed_branch_matches_pushdown(ray_session):
-    eng = _engine(documents_index(SF))
-    a = eng.facet_counts(["the", "a"], facet_col="doclen", bucket_width=32)
-    b = eng.facet_counts(
-        ["the", "a"], facet_col="doclen", bucket_width=32, max_candidates=1
-    )
-    assert a.equals(b)
-
-
 def test_prf_expands_and_is_deterministic(ray_session):
     eng = _engine(documents_index(SF))
     q = ["spark", "join"]
@@ -102,9 +93,6 @@ def test_sort_by_field(ray_session):
     # ascending flips the order
     bot = eng.sort_by(["the", "a"], field="doclen", k=10, descending=False)
     assert (bot["doclen"].diff().dropna() >= 0).all()
-    # distributed branch == pushdown branch
-    dist = eng.sort_by(["the", "a"], field="doclen", k=10, max_candidates=1)
-    assert top.equals(dist)
     # ranks tile 1..k and ties break doc_id-ascending within equal keys
     assert top["rank"].tolist() == list(range(1, len(top) + 1))
     with pytest.raises(ValueError, match="metadata column"):

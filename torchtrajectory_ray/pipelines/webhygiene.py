@@ -40,6 +40,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from torchtrajectory_ray.functions.single_task import run_single_task
 from torchtrajectory_ray.functions.text import _COMMENT, _SCRIPT_STYLE
 
 # Hosts blocked by the (tiny, broadcast) blocklist operator.  At real
@@ -520,12 +521,11 @@ def host_link_edges(sf_dir: str) -> ray.data.Dataset:
     # a worker) the 256-way pair-hash exchange below takes over —
     # identity between the two is pytest-gated
     if int(base.count()) <= LOCAL_LINKGRAPH_MAX_DOCS:
-        folded = parts.repartition(1).map_batches(
-            lambda t: pa.Table.from_pandas(
-                merge(t.to_pandas()), preserve_index=False
-            ),
-            batch_format="pyarrow",
-            batch_size=None,
+        parts = parts.materialize()
+        folded = run_single_task(
+            parts,
+            lambda t: pa.Table.from_pandas(merge(t.to_pandas()), preserve_index=False),
+            parts.count(),
         )
         return folded.select_columns(["src_host", "dst_host", "n_links"])
     return (
@@ -550,12 +550,11 @@ def host_outlink_stats(sf_dir: str) -> ray.data.Dataset:
     edges = host_link_edges(sf_dir)
     if int(_read_ids(sf_dir).count()) <= LOCAL_LINKGRAPH_MAX_DOCS:
         # edge rows are PAIR-distinct already; one task folds per-src
-        return edges.repartition(1).map_batches(
-            lambda t: pa.Table.from_pandas(
-                fold(t.to_pandas()), preserve_index=False
-            ),
-            batch_format="pyarrow",
-            batch_size=None,
+        edges = edges.materialize()
+        return run_single_task(
+            edges,
+            lambda t: pa.Table.from_pandas(fold(t.to_pandas()), preserve_index=False),
+            edges.count(),
         ).select_columns(["src_host", "n_links", "n_dst_hosts"])
     return (
         edges.groupby("src_host")

@@ -113,14 +113,46 @@ def _near_doc_hits(
     return hits
 
 
+def _read_texts(paths: list[str], ids) -> pa.Table:
+    """``(doc_id, text)`` of the docs ``ids`` from the docs shards
+    ``paths``: one ``doc_id`` pushdown read, rows in storage order.  The
+    one way the engine reads ``text``, which is not resident."""
+    return pads.dataset(paths, format="parquet").to_table(
+        columns=["doc_id", "text"],
+        filter=pads.field("doc_id").isin(pa.array(ids, pa.int64())),
+    )
+
+
+def _verify_docs(
+    paths: list[str],
+    ids,
+    terms: list[str],
+    window: int | None,
+    ordered: bool,
+    tokenize,
+) -> np.ndarray:
+    """The sorted ``ids`` whose text holds ``terms``: consecutively
+    (``window=None``), else inside a ``window``-token span, in order when
+    ``ordered`` — the one verification the driver and the distributed
+    tasks share, so the two cannot diverge."""
+    t = _read_texts(paths, ids)
+    args = (t["doc_id"].to_pylist(), t["text"].to_pylist(), terms)
+    if window is None:
+        hits = _phrase_doc_hits(*args, tokenize)
+    elif ordered:
+        hits = _span_doc_hits(*args, window, tokenize)
+    else:
+        hits = _near_doc_hits(*args, window, tokenize)
+    return np.asarray(sorted(hits), dtype=np.int64)
+
+
 class _PhraseVerifyTask:
     """map_batches task for bulk phrase/proximity verification: one chunk
     of candidate doc ids in, the verified subset out.  Each task does its
     own predicate-pushdown read of ONLY its chunk's docs (the
     ``dedup._VerifyPairsTask`` shape) — candidate texts never touch the
-    driver, task memory is bounded by the chunk.  ``window=None`` checks
-    the consecutive phrase; an int checks proximity — unordered by
-    default, in-order when ``ordered=True``."""
+    driver, task memory is bounded by the chunk.  ``window`` and
+    ``ordered`` as in :func:`_verify_docs`."""
 
     def __init__(
         self,
@@ -140,26 +172,15 @@ class _PhraseVerifyTask:
         from torchtrajectory_ray.stages.postings import _pin_arrow_single_thread
 
         _pin_arrow_single_thread()
-        wanted = pa.array(
-            sorted(int(d) for d in g["doc_id"].to_numpy()), pa.int64()
-        )
-        t = pads.dataset(self.docs_paths, format="parquet").to_table(
-            columns=["doc_id", "text"],
-            filter=pads.field("doc_id").isin(wanted),
-        )
-        args = (
-            t["doc_id"].to_pylist(),
-            t["text"].to_pylist(),
+        hits = _verify_docs(
+            self.docs_paths,
+            g["doc_id"].to_numpy(),
             self.terms,
+            self.window,
+            self.ordered,
+            get_tokenizer(self.tokenizer),
         )
-        tok = get_tokenizer(self.tokenizer)
-        if self.window is None:
-            hits = _phrase_doc_hits(*args, tok)
-        elif self.ordered:
-            hits = _span_doc_hits(*args, self.window, tok)
-        else:
-            hits = _near_doc_hits(*args, self.window, tok)
-        return pd.DataFrame({"doc_id": pd.array(sorted(hits), dtype="int64")})
+        return pd.DataFrame({"doc_id": pd.array(hits, dtype="int64")})
 
 
 class QueryEngine:
@@ -295,6 +316,17 @@ class QueryEngine:
         """Salt bucket of each doc id (the build's clamp: the tail bucket
         is open-ended)."""
         return np.clip(ids >> self._salt_shift, 0, self.num_salts - 1)
+
+    def _stores(self, ids: np.ndarray) -> list[tuple[_DocStore, np.ndarray]]:
+        """(store, ids) pairs that cover the sorted live ``ids``: each
+        salt bucket's resident store with its share of them, or under
+        ``load_mode="lazy"`` one store read for them all with a
+        ``doc_id`` pushdown.  Always at least one pair."""
+        if self._docs is None:
+            return [(_DocStore.load(self.docs_paths, ids=ids)[0], ids)]
+        salts = self._salt_of(ids)
+        hit = np.unique(salts) if ids.size else [0]
+        return [(self._docs[s], ids[salts == s]) for s in hit]
 
     def _live(self, doc_ids) -> np.ndarray:
         """Sorted unique ``doc_ids`` minus the tombstoned ones."""
@@ -672,12 +704,7 @@ class QueryEngine:
         at open) and taken from it — no file I/O per call.  Under
         ``load_mode="lazy"`` one small store is read per call instead,
         with a ``doc_id`` pushdown of just these ids."""
-        arr = self._live(doc_ids)
-        if self._docs is None:
-            return _DocStore.load(self.docs_paths, ids=arr)[0].take(arr).to_pandas()
-        salts = self._salt_of(arr)
-        hit = np.unique(salts) if arr.size else [0]
-        parts = [self._docs[s].take(arr[salts == s]) for s in hit]
+        parts = [st.take(ids) for st, ids in self._stores(self._live(doc_ids))]
         return pa.concat_tables(parts).to_pandas()
 
     def term_vector(self, doc_ids) -> pd.DataFrame:
@@ -688,11 +715,7 @@ class QueryEngine:
         bounded by the requested ids, never corpus size.  Aggregate
         ``tf`` is ``groupby(term).size()`` on the result; deleted docs
         don't resolve (same rule as :meth:`resolve`)."""
-        wanted = pa.array(self._live(doc_ids), pa.int64())
-        t = pads.dataset(self.docs_paths, format="parquet").to_table(
-            columns=["doc_id", "text"],
-            filter=pads.field("doc_id").isin(wanted),
-        )
+        t = _read_texts(self.docs_paths, self._live(doc_ids))
         out_ids, out_terms, out_pos = [], [], []
         for d, text in zip(t["doc_id"].to_pylist(), t["text"].to_pylist()):
             toks = self._tokenize(text)
@@ -716,24 +739,31 @@ class QueryEngine:
         doclen_lo: int | None = None,
         doclen_hi: int | None = None,
     ) -> np.ndarray:
-        """Terms-free metadata range query: all doc ids whose warc_ts /
-        lang / doclen fall in the given window — no posting probe at all
-        (the analog of the reference's pure range search,
-        Torch/base/spatialIndex/LEVI.java:73-92 findInRange and
+        """Terms-free metadata range query: all live doc ids whose
+        warc_ts / lang / doclen fall in the given window, sorted — no
+        posting probe at all (the analog of the reference's pure range
+        search, Torch/base/spatialIndex/LEVI.java:73-92 findInRange and
         queryEngine/query/WindowQuery.java:21-31).
 
-        Predicate-pushdown scan of the manifest's forward-index shards:
-        parquet row-group statistics prune doc ranges before any IO.
-        This serving-path variant answers interactively on the driver;
-        :meth:`find_in_range_ds` is the distributed bulk form for
-        10^12-doc scans (same filter, streamed as a Dataset).
-        Timestamps are int64 microseconds (same unit as ``topk``'s
-        ts filters)."""
-        t = pads.dataset(self.docs_paths, format="parquet").to_table(
-            columns=["doc_id"],
-            filter=self._range_filter(ts_lo, ts_hi, lang, doclen_lo, doclen_hi),
-        )
-        return np.sort(t["doc_id"].to_numpy().astype(np.int64))
+        The predicate is :meth:`_range_filter`, the one
+        :meth:`find_in_range_ds` (the distributed bulk form for
+        10^12-doc scans) pushes into its read.  In memory mode it
+        filters each resident :class:`_DocStore` table, with no file
+        I/O; under ``load_mode="lazy"`` it is pushed into one scan of
+        the manifest's docs shards, where row-group statistics prune doc
+        ranges.  Timestamps are int64 microseconds (same unit as
+        ``topk``'s ts filters)."""
+        f = self._range_filter(ts_lo, ts_hi, lang, doclen_lo, doclen_hi)
+        if self._docs is None:
+            tables = [
+                pads.dataset(self.docs_paths, format="parquet").to_table(
+                    columns=["doc_id"], filter=f
+                )
+            ]
+        else:
+            tables = [st.table if f is None else st.table.filter(f) for st in self._docs]
+        ids = [t["doc_id"].to_numpy() for t in tables]
+        return np.sort(np.concatenate(ids).astype(np.int64))
 
     def _range_filter(self, ts_lo, ts_hi, lang, doclen_lo, doclen_hi):
         """One pyarrow dataset filter expression shared by the serving
@@ -823,24 +853,9 @@ class QueryEngine:
         The searcher-level first-position chain (``SaltSearcher.
         phrase_and``) remains available as a cheap index-only prefilter
         for indexes built with ``store_positions=True``."""
-        uniq = list(dict.fromkeys(terms))  # order-preserving
-        for t in uniq:
-            if not self._term_indexed(term_hash(t)):
-                return np.empty(0, dtype=np.int64)
-        cand = self.bool_and(uniq, **filt)
-        if cand.size == 0:
-            return cand
-        if cand.size > max_candidates:
-            raise ValueError(
-                f"phrase candidate set ({cand.size} docs) exceeds "
-                f"max_candidates={max_candidates}: the phrase's unique terms "
-                "are so common the AND is a large fraction of the corpus "
-                "(stopword phrase). Add a rarer term, filter first, or raise "
-                "max_candidates if a corpus-scale verification is intended."
-            )
-        if cand.size <= distribute_over:
-            return self._verify_phrase(cand, terms)
-        return self._verify_phrase_distributed(cand, terms)
+        return self._verify(
+            terms, None, False, distribute_over, max_candidates, filt
+        )
 
     def near_and(
         self,
@@ -859,28 +874,15 @@ class QueryEngine:
         cover per doc) on the driver or fanned out as chunked pushdown
         tasks.  ``phrase_and(t)`` ⊆ ``near_and(t, len(t))`` always;
         equality when terms are distinct and order-free."""
-        uniq = list(dict.fromkeys(terms))
-        if window < len(uniq):
+        n = len(set(terms))
+        if window < n:
             raise ValueError(
-                f"near_and: window={window} can never cover "
-                f"{len(uniq)} distinct terms (positions are distinct); "
-                f"use window >= {len(uniq)}"
+                f"near_and: window={window} can never cover {n} distinct "
+                f"terms (positions are distinct); use window >= {n}"
             )
-        for t in uniq:
-            if not self._term_indexed(term_hash(t)):
-                return np.empty(0, dtype=np.int64)
-        cand = self.bool_and(uniq, **filt)
-        if cand.size == 0:
-            return cand
-        if cand.size > max_candidates:
-            raise ValueError(
-                f"proximity candidate set ({cand.size} docs) exceeds "
-                f"max_candidates={max_candidates} (stopword query); add a "
-                "rarer term, filter first, or raise max_candidates"
-            )
-        if cand.size <= distribute_over:
-            return self._verify_phrase(cand, terms, window=window)
-        return self._verify_phrase_distributed(cand, terms, window=window)
+        return self._verify(
+            terms, window, False, distribute_over, max_candidates, filt
+        )
 
     def span_near(
         self,
@@ -905,24 +907,46 @@ class QueryEngine:
                 f"{len(terms)} in-order occurrences (positions are "
                 f"strictly increasing); use window >= {len(terms)}"
             )
+        return self._verify(
+            terms, window, True, distribute_over, max_candidates, filt
+        )
+
+    def _verify(
+        self,
+        terms: list[str],
+        window: int | None,
+        ordered: bool,
+        distribute_over: int,
+        max_candidates: int,
+        filt: dict,
+    ) -> np.ndarray:
+        """The candidate-then-verify tail of :meth:`phrase_and`,
+        :meth:`near_and` and :meth:`span_near`: an unindexed term
+        matches nothing; the candidates are the AND of the unique terms;
+        more than ``max_candidates`` of them (a stopword query) fail
+        loud; up to ``distribute_over`` verify on the driver, more fan
+        out as chunked tasks.  ``window`` / ``ordered`` as in
+        :func:`_verify_docs`."""
         uniq = list(dict.fromkeys(terms))
-        for t in uniq:
-            if not self._term_indexed(term_hash(t)):
-                return np.empty(0, dtype=np.int64)
+        if not all(self._term_indexed(term_hash(t)) for t in uniq):
+            return np.empty(0, dtype=np.int64)
         cand = self.bool_and(uniq, **filt)
         if cand.size == 0:
             return cand
         if cand.size > max_candidates:
+            kind = "phrase" if window is None else "span" if ordered else "proximity"
             raise ValueError(
-                f"span candidate set ({cand.size} docs) exceeds "
-                f"max_candidates={max_candidates} (stopword query); add a "
-                "rarer term, filter first, or raise max_candidates"
+                f"{kind} candidate set ({cand.size} docs) exceeds "
+                f"max_candidates={max_candidates}: the unique terms are so "
+                "common the AND is a large fraction of the corpus (stopword "
+                "query). Add a rarer term, filter first, or raise "
+                "max_candidates if a corpus-scale verification is intended."
             )
         if cand.size <= distribute_over:
-            return self._verify_phrase(cand, terms, window=window, ordered=True)
-        return self._verify_phrase_distributed(
-            cand, terms, window=window, ordered=True
-        )
+            return _verify_docs(
+                self.docs_paths, cand, terms, window, ordered, self._tokenize
+            )
+        return self._verify_phrase_distributed(cand, terms, window, ordered)
 
     # --- positional-postings route (position_mode="full" indexes) ---
     #
@@ -1008,33 +1032,8 @@ class QueryEngine:
         parts = self._fanout("near_pos", tids, window, *self._filt3(filt))
         return np.sort(np.concatenate(parts))
 
-    def _verify_phrase(
-        self,
-        cand: np.ndarray,
-        terms: list[str],
-        window: int | None = None,
-        ordered: bool = False,
-    ) -> np.ndarray:
-        wanted = pa.array(sorted(int(d) for d in cand), pa.int64())
-        t = pads.dataset(self.docs_paths, format="parquet").to_table(
-            columns=["doc_id", "text"],
-            filter=pads.field("doc_id").isin(wanted),
-        )
-        args = (t["doc_id"].to_pylist(), t["text"].to_pylist(), terms)
-        if window is None:
-            hits = _phrase_doc_hits(*args, self._tokenize)
-        elif ordered:
-            hits = _span_doc_hits(*args, window, self._tokenize)
-        else:
-            hits = _near_doc_hits(*args, window, self._tokenize)
-        return np.asarray(sorted(hits), dtype=np.int64)
-
     def _verify_phrase_distributed(
-        self,
-        cand: np.ndarray,
-        terms: list[str],
-        window: int | None = None,
-        ordered: bool = False,
+        self, cand: np.ndarray, terms: list[str], window: int | None, ordered: bool
     ) -> np.ndarray:
         """Chunk the candidate ids driver-side (they're just int64s — the
         TEXTS never reach the driver), fan the chunks out, concatenate
@@ -1211,11 +1210,7 @@ class QueryEngine:
         trajectory-similarity search (a result trajectory re-submitted
         as the query, Engine.java findTopK over a mapped trajectory) —
         here the 'mapping' is term selection from the seed document."""
-        dset = pads.dataset(self.docs_paths, format="parquet")
-        t = dset.to_table(
-            columns=["doc_id", "text"],
-            filter=pads.field("doc_id") == int(doc_id),
-        )
+        t = _read_texts(self.docs_paths, [int(doc_id)])
         if t.num_rows == 0:
             raise KeyError(f"more_like_this: doc {doc_id} not in the index")
         toks = self._tokenize(t["text"][0].as_py())
@@ -1266,14 +1261,8 @@ class QueryEngine:
             return []
         import collections
 
-
-        dset = pads.dataset(self.docs_paths, format="parquet")
-        t = dset.to_table(
-            columns=["text"],
-            filter=pads.field("doc_id").isin(pa.array(fb_ids, pa.int64())),
-        )
         counts: collections.Counter = collections.Counter()
-        for txt in t["text"].to_pylist():
+        for txt in _read_texts(self.docs_paths, fb_ids)["text"].to_pylist():
             counts.update(self._tokenize(txt))
         orig = set(terms)
         cand = [
@@ -1383,7 +1372,6 @@ class QueryEngine:
         query: str | list[str],
         facet_col: str = "lang",
         mode: str = "or",
-        max_candidates: int = 65536,
         bucket_width: int | None = None,
         **filt,
     ) -> pd.DataFrame:
@@ -1394,12 +1382,9 @@ class QueryEngine:
         LongRangeFacetCounts shape: each value is floored to its
         ``width``-sized bucket's lower bound before counting.
 
-        Candidate sets up to ``max_candidates`` use one predicate-
-        pushdown read (the ``resolve`` shape); larger sets (stopword
-        queries: a corpus-scale fraction) switch to a distributed
-        membership scan — the sorted id set ships once via ``ray.put``
-        and every batch reduces to per-facet partial counts, so only
-        O(#facet values) rows per block reach the driver."""
+        The column comes from the doc stores (:meth:`_stores`): the
+        resident ones in memory mode, with no file I/O; one ``doc_id``
+        pushdown read of the match set under ``load_mode="lazy"``."""
         if facet_col not in ("lang", "doclen"):
             raise ValueError("facet_col must be a forward-index metadata column")
         if bucket_width is not None and facet_col != "doclen":
@@ -1413,45 +1398,14 @@ class QueryEngine:
         )
         if len(ids) == 0:
             return pd.DataFrame({facet_col: [], "n_docs": []})
-        if len(ids) <= max_candidates:
-            t = pads.dataset(self.docs_paths, format="parquet").to_table(
-                columns=[facet_col],
-                filter=pads.field("doc_id").isin(pa.array(ids, pa.int64())),
+        vals = pd.Series(
+            np.concatenate(
+                [st.values(facet_col, sub) for st, sub in self._stores(ids)]
             )
-            vals = t.column(facet_col).to_pandas()
-            if bucket_width is not None:
-                vals = (vals // bucket_width) * bucket_width
-            vc = vals.value_counts(dropna=True)
-        else:
-            import ray
-            import ray.data
-
-            ref = ray.put(np.sort(np.asarray(ids, np.int64)))
-
-            def part(batch: pa.Table) -> pa.Table:
-                wanted = ray.get(ref)
-                d = batch["doc_id"].to_numpy().astype(np.int64)
-                pos = np.searchsorted(wanted, d)
-                pos[pos == len(wanted)] = 0
-                hit = batch[facet_col].to_pandas()[wanted[pos] == d]
-                if bucket_width is not None:
-                    hit = (hit // bucket_width) * bucket_width
-                v = hit.value_counts(dropna=True)
-                return pa.table(
-                    {
-                        facet_col: pa.array(v.index.to_numpy()),
-                        "n": pa.array(v.to_numpy().astype(np.int64)),
-                    }
-                )
-
-            parts = (
-                ray.data.read_parquet(
-                    self.docs_paths, columns=["doc_id", facet_col]
-                )
-                .map_batches(part, batch_format="pyarrow")
-                .to_pandas()  # tiny: #facets × #blocks rows
-            )
-            vc = parts.groupby(facet_col)["n"].sum()
+        )
+        if bucket_width is not None:
+            vals = (vals // bucket_width) * bucket_width
+        vc = vals.value_counts(dropna=True)
         return (
             pd.DataFrame({facet_col: vc.index, "n_docs": vc.to_numpy()})
             .astype({"n_docs": np.int64})
@@ -1488,17 +1442,9 @@ class QueryEngine:
                 {"term": [], "fg_df": [], "df": [], "lift": []}
             )
 
-        def _fg_counts_local() -> pd.Series:
-            t = pads.dataset(self.docs_paths, format="parquet").to_table(
-                columns=["doc_id", "text"],
-                filter=pads.field("doc_id").isin(pa.array(ids, pa.int64())),
-            )
-            return _distinct_term_doc_counts(
-                t["text"].to_pylist(), self._tokenize
-            )
-
         if len(ids) <= max_candidates:
-            fg = _fg_counts_local()
+            texts = _read_texts(self.docs_paths, ids)["text"].to_pylist()
+            fg = _distinct_term_doc_counts(texts, self._tokenize)
         else:
             import ray
             import ray.data
@@ -1568,16 +1514,13 @@ class QueryEngine:
         k: int = 10,
         descending: bool = True,
         mode: str = "or",
-        max_candidates: int = 65536,
         **filt,
     ) -> pd.DataFrame:
         """Sort-by-field retrieval (the Lucene ``Sort`` shape): the
         top-``k`` docs matching ``query`` ordered by a forward-index
         metadata column instead of relevance — ``(rank, doc_id,
-        field)``, ties broken doc_id-ascending.  Small match sets use
-        one predicate-pushdown read; larger ones use the distributed
-        membership scan with a PER-BLOCK partial top-k, so only
-        O(k × #blocks) rows reach the driver merge."""
+        field)``, ties broken doc_id-ascending.  The column comes from
+        the doc stores, as in :meth:`facet_counts`."""
         if field not in ("lang", "doclen"):
             raise ValueError("field must be a forward-index metadata column")
         ids = (
@@ -1585,44 +1528,17 @@ class QueryEngine:
             if mode == "or"
             else self.bool_and(query, **filt)
         )
-        cols = ["rank", "doc_id", field]
         if len(ids) == 0:
-            return pd.DataFrame(columns=cols)
-
-        def _head(df: pd.DataFrame) -> pd.DataFrame:
-            return df.sort_values(
-                [field, "doc_id"],
-                ascending=[not descending, True],
-                kind="mergesort",
-            ).head(k)
-
-        if len(ids) <= max_candidates:
-            t = pads.dataset(self.docs_paths, format="parquet").to_table(
-                columns=["doc_id", field],
-                filter=pads.field("doc_id").isin(pa.array(ids, pa.int64())),
+            return pd.DataFrame(columns=["rank", "doc_id", field])
+        vals = np.concatenate([st.values(field, sub) for st, sub in self._stores(ids)])
+        top = (
+            pd.DataFrame({"doc_id": ids, field: vals})
+            .sort_values(
+                [field, "doc_id"], ascending=[not descending, True], kind="mergesort"
             )
-            top = _head(t.to_pandas())
-        else:
-            import ray
-            import ray.data
-
-            ref = ray.put(np.sort(np.asarray(ids, np.int64)))
-
-            def part(batch: pa.Table) -> pa.Table:
-                wanted = ray.get(ref)
-                d = batch["doc_id"].to_numpy().astype(np.int64)
-                pos = np.searchsorted(wanted, d)
-                pos[pos == len(wanted)] = 0
-                hit = batch.to_pandas()[wanted[pos] == d]
-                return pa.Table.from_pandas(_head(hit), preserve_index=False)
-
-            parts = (
-                ray.data.read_parquet(self.docs_paths, columns=["doc_id", field])
-                .map_batches(part, batch_format="pyarrow")
-                .to_pandas()  # tiny: ≤ k rows per block
-            )
-            top = _head(parts)
-        top = top.reset_index(drop=True)
+            .head(k)
+            .reset_index(drop=True)
+        )
         top.insert(0, "rank", np.arange(1, len(top) + 1, dtype=np.int64))
         return top.astype({"doc_id": np.int64})
 
@@ -1644,11 +1560,7 @@ class QueryEngine:
         if top.empty:
             return pd.DataFrame(columns=cols)
 
-        wanted = pa.array(sorted(set(top["doc_id"].tolist())), pa.int64())
-        t = pads.dataset(self.docs_paths, format="parquet").to_table(
-            columns=["doc_id", "text"],
-            filter=pads.field("doc_id").isin(wanted),
-        )
+        t = _read_texts(self.docs_paths, sorted(set(top["doc_id"].tolist())))
         texts = dict(zip(t["doc_id"].to_pylist(), t["text"].to_pylist()))
         terms_by_qid = {q["query_id"]: set(q["terms"]) for q in queries}
         snips = []

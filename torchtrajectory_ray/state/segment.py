@@ -82,9 +82,11 @@ class _LRU:
 class _DocStore:
     """Forward-index columns ``(doc_id, url, lang, doclen, warc_ts)`` of
     one salt bucket as one Arrow table sorted by ``doc_id`` — the doc
-    store that hydration and the lang / warc_ts filters read with a
-    searchsorted + take (the reference keeps its forward index resident
-    the same way: TrajectoryPool.java:59-75).  It costs about 61 B/doc
+    store that every metadata read of the engine uses: hydration, the
+    lang / warc_ts filters, ``collapse_topk``, ``find_in_range``,
+    ``facet_counts`` and ``sort_by``, each a searchsorted + take or a
+    filter (the reference keeps its forward index resident the same
+    way: TrajectoryPool.java:59-75).  It costs about 61 B/doc
     (487,710 B for 8,000 minimal pages; the url dominates), so 10^6 docs
     is about 61 MB per engine; ``load_mode="lazy"`` keeps no store and
     builds a small one per call from a ``doc_id`` pushdown read."""
@@ -137,9 +139,16 @@ class _DocStore:
         return self.table.select(_RESOLVED).take(rows)
 
     def values(self, col: str, ids: np.ndarray) -> np.ndarray:
-        """``col`` at each of ``ids`` (all held by the store) as numpy."""
-        vals = self.table[col].take(self._find(ids)[0])
-        return vals.to_numpy(zero_copy_only=False)
+        """``col`` at each of the sorted ``ids`` as numpy.  Every id must
+        be held: one the postings know but the docs shards do not fails
+        loud instead of reading a neighbour's row."""
+        pos, held = self._find(ids)
+        if not held.all():
+            raise ValueError(
+                f"{int((~held).sum())} doc ids are in the postings but not "
+                "in the docs shards; the index is inconsistent — run check_index"
+            )
+        return self.table[col].take(pos).to_numpy(zero_copy_only=False)
 
     def mask(self, ids: np.ndarray, lang, ts_lo, ts_hi) -> np.ndarray:
         """Which of the sorted ``ids`` the store holds with ``lang`` and
