@@ -240,7 +240,7 @@ def run_suite(sf_dir: str, num_cpus: int) -> dict:
         os.makedirs(pos_dir, exist_ok=True)
 
     _reset_pos_dir()
-    cfg_pos = _dc.replace(cfg, store_positions=True, position_mode="full")
+    cfg_pos = _dc.replace(cfg, store_positions=True)
     timed(
         "index_build_pos",
         lambda: build_index(staged, pos_dir, cfg_pos),
@@ -259,18 +259,18 @@ def run_suite(sf_dir: str, num_cpus: int) -> dict:
     eng_pos = QueryEngine(pos_dir)
     timed(
         "phrase_match_pos",
-        lambda: [eng_pos.phrase_and_pos(q["phrase"]) for q in PHRASE_QUERIES],
+        lambda: [eng_pos.phrase_and(q["phrase"]) for q in PHRASE_QUERIES],
     )
     timed(
         "near_match_pos",
         lambda: [
-            eng_pos.near_and_pos(q["terms"], q["window"]) for q in NEAR_QUERIES
+            eng_pos.near_and(q["terms"], q["window"]) for q in NEAR_QUERIES
         ],
     )
     timed(
         "span_match_pos",
         lambda: [
-            eng_pos.span_near_pos(q["terms"], q["window"]) for q in SPAN_QUERIES
+            eng_pos.span_near(q["terms"], q["window"]) for q in SPAN_QUERIES
         ],
     )
     timed(

@@ -56,14 +56,11 @@ def main() -> None:
     ap.add_argument("--batch-size", type=int, default=4096)
     ap.add_argument("--doc-id-mode", choices=["dense", "url_hash"], default="dense")
     ap.add_argument("--bad-rows", choices=["raise", "drop"], default="raise")
-    ap.add_argument("--store-positions", action="store_true")
     ap.add_argument(
-        "--position-mode",
-        choices=["first", "full"],
-        default="first",
-        help="with --store-positions: 'first' stores one position per "
-        "posting (the reference layout), 'full' every occurrence (the "
-        "Lucene layout; enables index-only phrase/span/NEAR)",
+        "--store-positions",
+        action="store_true",
+        help="store every occurrence position in the postings (the "
+        "Lucene layout; phrase/span/NEAR then answer from the index alone)",
     )
     ap.add_argument(
         "--check",
@@ -189,7 +186,6 @@ def main() -> None:
         doc_id_mode=args.doc_id_mode,
         bad_rows=args.bad_rows,
         store_positions=args.store_positions,
-        position_mode=args.position_mode,
         tokenizer=args.tokenizer,
     )
     explicit = any(getattr(args, k) != ap.get_default(k) for k in CFG_FLAGS)

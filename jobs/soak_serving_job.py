@@ -176,7 +176,6 @@ def main() -> None:
         dataclasses.replace(
             IndexConfig(num_term_shards=16, num_salts=16),
             store_positions=True,
-            position_mode="full",
         ),
     )
     out["index_build_pos_or_resume_s"] = round(time.monotonic() - t0, 1)
@@ -191,11 +190,11 @@ def main() -> None:
     out["segment_bytes"] = _tree_bytes(idx_dir)
     out["segment_bytes_pos"] = _tree_bytes(pos_dir)
     eng_pos = QueryEngine(pos_dir)
-    near_pos = timed("near_pos_hot_w8", lambda: eng_pos.near_and_pos(hot, 8))
-    span_pos = timed("span_pos_hot_w8", lambda: eng_pos.span_near_pos(hot, 8))
+    near_pos = timed("near_pos_hot_w8", lambda: eng_pos.near_and(hot, 8))
+    span_pos = timed("span_pos_hot_w8", lambda: eng_pos.span_near(hot, 8))
     assert near_pos.tolist() == near_hits.tolist(), "near routes disagree"
     assert span_pos.tolist() == span_hits.tolist(), "span routes disagree"
-    phrase_pos = timed("phrase_pos_hot", lambda: eng_pos.phrase_and_pos(hot))
+    phrase_pos = timed("phrase_pos_hot", lambda: eng_pos.phrase_and(hot))
     phrase_txt = timed("phrase_text_hot", lambda: eng.phrase_and(hot))
     assert phrase_pos.tolist() == phrase_txt.tolist(), "phrase routes disagree"
     out["phrase_hot_hits"] = int(phrase_pos.size)

@@ -45,7 +45,7 @@ def test_clean_positional_index_passes(ray_session, tmp_path):
     build_index(
         paths,
         d,
-        IndexConfig(**CFG, store_positions=True, position_mode="full"),
+        IndexConfig(**CFG, store_positions=True),
     )
     rep = check_index(d, distributed=False)
     assert rep["ok"], rep["violations"][:5]

@@ -255,10 +255,11 @@ def test_query_result_envelope(built):
 
 @pytest.fixture(scope="module")
 def multi_gen(ray_session, tmp_path_factory):
-    """One index per position mode: a 2-file base build over 4 salts
-    (bucket 1 gets no segments at all), two ``extend_index`` generations
-    (both clamp into the tail bucket, so its terms hold several runs)
-    and tombstones in the base and the tail."""
+    """Two indexes, keyed by ``store_positions``: a 2-file base build
+    over 4 salts (bucket 1 gets no segments at all), two
+    ``extend_index`` generations (both clamp into the tail bucket, so
+    its terms hold several runs) and tombstones in the base and the
+    tail."""
     from torchtrajectory_ray.pipelines.build import delete_docs, extend_index
 
     root = tmp_path_factory.mktemp("multigen")
@@ -268,16 +269,16 @@ def multi_gen(ray_session, tmp_path_factory):
         for g in (1, 2)
     ]
     out = {}
-    for mode in ("first", "full"):
-        cfg = IndexConfig(num_term_shards=2, num_salts=4, store_positions=True,
-                          position_mode=mode, tokenize_batch_size=64)
-        idx = str(root / f"idx-{mode}")
+    for positions in (False, True):
+        cfg = IndexConfig(num_term_shards=2, num_salts=4,
+                          store_positions=positions, tokenize_batch_size=64)
+        idx = str(root / f"idx-{positions}")
         build_index(base, idx, cfg)
         for paths in gens:
             extend_index(idx, paths, cfg)
         live = QueryEngine(idx).find_in_range()
         delete_docs(idx, live[::9])
-        out[mode] = idx
+        out[positions] = idx
     return out
 
 
@@ -315,7 +316,8 @@ def test_lazy_load_mode_matches_memory(built, multi_gen, monkeypatch):
         ["w0000", "zzz_unknown_term"],
         ["zzz_unknown_term"],
     ]
-    for mode, idx in multi_gen.items():
+    phrase_hits = {}
+    for positions, idx in multi_gen.items():
         mem = QueryEngine(idx)
         lazy = QueryEngine(idx, load_mode="lazy")
         assert mem.searchers[1].seg_paths == []  # zero tables to join
@@ -362,18 +364,18 @@ def test_lazy_load_mode_matches_memory(built, multi_gen, monkeypatch):
                 )
         hits = mem.phrase_and(phrase)
         assert hits.size and hits.tolist() == lazy.phrase_and(phrase).tolist()
-        tids, _ = mem.resolve_terms(phrase)
-        if mode == "full":
-            assert mem.phrase_and_pos(phrase).tolist() == hits.tolist()
-            assert lazy.phrase_and_pos(phrase).tolist() == hits.tolist()
-        else:  # the searcher-level first-position chain
-            got = [s.phrase_and(tids).tolist() for s in mem.searchers]
-            assert got == [s.phrase_and(tids).tolist() for s in lazy.searchers]
-            assert sorted(sum(got, [])) == hits.tolist()
-        for s_mem, s_lazy in zip(mem.searchers, lazy.searchers):
-            for tid in tids:
-                for a, b in zip(s_mem.postings_pos(tid), s_lazy.postings_pos(tid)):
-                    assert a.tolist() == b.tolist()
+        phrase_hits[positions] = hits.tolist()
+        if positions:
+            tids, _ = mem.resolve_terms(phrase)
+            for s_mem, s_lazy in zip(mem.searchers, lazy.searchers):
+                for tid in tids:
+                    for a, b in zip(
+                        s_mem.positions_full(tid), s_lazy.positions_full(tid)
+                    ):
+                        assert a.tolist() == b.tolist()
+    # the positional and the text route agree across generations and
+    # tombstones
+    assert phrase_hits[True] == phrase_hits[False]
 
 
 def _scan_resolve(eng, doc_ids) -> pd.DataFrame:
@@ -394,7 +396,7 @@ def test_resolve_frames_equal_across_engines(built, multi_gen):
     dataset scan returns — on a base build plus two generations with
     tombstones: dtypes, order, duplicate ids, unknown ids (ids of another
     index too, as federated search passes them) and empty input."""
-    idx = multi_gen["first"]
+    idx = multi_gen[True]
     mem = QueryEngine(idx)
     engines = [mem, QueryEngine(idx, load_mode="lazy")]
     engines.append(QueryEngine(idx, distributed=True))

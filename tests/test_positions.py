@@ -1,20 +1,25 @@
-"""Full positional postings (store_positions=True, position_mode="full"):
-the Lucene layout — every occurrence position delta+varint-encoded inside
-the posting — makes phrase / ordered-span / unordered-NEAR exact
-INDEX-ONLY operations.  Gates:
+"""Positional postings (``store_positions=True``): the Lucene layout —
+every occurrence position delta+varint-encoded inside the posting —
+makes phrase / ordered-span / unordered-NEAR exact INDEX-ONLY
+operations, and ``phrase_and`` / ``near_and`` / ``span_near`` take that
+route by themselves on such an index.  Gates:
 
 - byte-level roundtrip through tokenize→shuffle→segment merge,
-- identity with the forward-index verification route on every fixed
-  proximity workload AND on planted matches,
-- repeated-term / non-first-occurrence matches the first-position layout
-  provably misses,
+- identity with a ``store_positions=False`` index of the same input
+  (forward-index verification) on every fixed proximity workload AND on
+  planted matches,
+- repeated-term / non-first-occurrence matches a one-position-per-posting
+  layout cannot verify,
+- the positional route reads no docs shard,
 - generations (extend_index) concatenate transparently,
-- fail-loud on indexes without the payload.
+- indexes with the retired one-position payload open as "no positions".
 """
 
 from __future__ import annotations
 
 import collections
+import json
+import os
 
 import numpy as np
 import pyarrow as pa
@@ -30,9 +35,9 @@ CFG = dict(
     num_term_shards=2,
     num_salts=3,
     store_positions=True,
-    position_mode="full",
     tokenize_batch_size=64,
 )
+TXT_CFG = {**CFG, "store_positions": False}
 
 
 def _planted_corpus(tmp_path, extra_rows=()):
@@ -65,12 +70,25 @@ def _planted_corpus(tmp_path, extra_rows=()):
 
 
 @pytest.fixture(scope="module")
-def pos_engine(ray_session, tmp_path_factory):
+def planted_dirs(ray_session, tmp_path_factory):
+    """(positional index dir, text index dir) over the SAME planted
+    corpus — the text index verifies against the forward index."""
     tmp_path = tmp_path_factory.mktemp("posidx")
     paths = _planted_corpus(tmp_path)
-    idx = str(tmp_path / "idx")
-    build_index(paths, idx, IndexConfig(**CFG))
-    return QueryEngine(idx)
+    pos_dir, txt_dir = str(tmp_path / "pos"), str(tmp_path / "txt")
+    build_index(paths, pos_dir, IndexConfig(**CFG))
+    build_index(paths, txt_dir, IndexConfig(**TXT_CFG))
+    return pos_dir, txt_dir
+
+
+@pytest.fixture(scope="module")
+def pos_engine(planted_dirs):
+    return QueryEngine(planted_dirs[0])
+
+
+@pytest.fixture(scope="module")
+def txt_engine(planted_dirs):
+    return QueryEngine(planted_dirs[1])
 
 
 WORKLOAD = [
@@ -86,22 +104,46 @@ WORKLOAD = [
 ]
 
 
-def test_positional_equals_text_route_with_hits(pos_engine):
-    """Every proximity operator answers identically through positions and
-    through forward-index verification — and the planted docs guarantee
-    the comparison is about real matches, not empty sets."""
-    eng = pos_engine
+def _answer(eng, kind, terms, w):
+    if kind == "phrase":
+        return eng.phrase_and(terms)
+    if kind == "span":
+        return eng.span_near(terms, w)
+    return eng.near_and(terms, w)
+
+
+def test_positional_equals_text_route_with_hits(pos_engine, txt_engine):
+    """Every proximity operator answers identically on the positional
+    index and on the text index of the same input — and the planted
+    docs guarantee the comparison is about real matches, not empty
+    sets."""
     total = 0
     for kind, terms, w in WORKLOAD:
-        if kind == "phrase":
-            a, b = eng.phrase_and(terms), eng.phrase_and_pos(terms)
-        elif kind == "span":
-            a, b = eng.span_near(terms, w), eng.span_near_pos(terms, w)
-        else:
-            a, b = eng.near_and(terms, w), eng.near_and_pos(terms, w)
+        a = _answer(txt_engine, kind, terms, w)
+        b = _answer(pos_engine, kind, terms, w)
         assert a.tolist() == b.tolist(), (kind, terms, w, a, b)
         total += a.size
     assert total > 0
+    assert pos_engine.phrase_and([]).size == txt_engine.phrase_and([]).size == 0
+
+
+def test_positional_route_reads_no_text(pos_engine, txt_engine, monkeypatch):
+    """On a positional index ``phrase_and`` / ``near_and`` / ``span_near``
+    answer from the postings alone: with every docs-shard read path
+    made to raise, they still equal the text index's answers."""
+    from torchtrajectory_ray.state import engine as engine_mod
+
+    want = [_answer(txt_engine, *q).tolist() for q in WORKLOAD]
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("the positional route read a docs shard")
+
+    monkeypatch.setattr(engine_mod, "_read_texts", no_read)
+    monkeypatch.setattr(pq, "read_table", no_read)
+    monkeypatch.setattr(engine_mod.pads, "dataset", no_read)
+    got = [_answer(pos_engine, *q).tolist() for q in WORKLOAD]
+    assert got == want
+    assert any(want)
 
 
 def test_non_first_occurrence_and_repeated_terms(pos_engine):
@@ -110,59 +152,19 @@ def test_non_first_occurrence_and_repeated_terms(pos_engine):
     (InvertedIndex.java:23-25) cannot verify."""
     eng = pos_engine
     # "spark lake": p0 matches only at spark#2; p4 trivially
-    hits = eng.phrase_and_pos(["spark", "lake"])
+    hits = eng.phrase_and(["spark", "lake"])
     urls = set(eng.resolve(hits)["url"])
     assert {"https://x.test/p0", "https://x.test/p4"} <= urls
     # repeated-term phrase
-    hits2 = eng.phrase_and_pos(["data", "data"])
+    hits2 = eng.phrase_and(["data", "data"])
     assert "https://x.test/p1" in set(eng.resolve(hits2)["url"])
-    # the first-position salt-searcher chain misses the p1 match
-    first_chain = np.sort(
-        np.concatenate(eng._fanout(
-            "phrase_and",
-            [__import__("torchtrajectory_ray.functions.text",
-                        fromlist=["term_hash"]).term_hash(t)
-             for t in ("data", "data")],
-        ))
-    )
-    assert not set(hits2.tolist()) <= set(first_chain.tolist())
 
 
-def test_filters_apply_on_positional_route(pos_engine):
-    eng = pos_engine
-    a = eng.phrase_and(["spark", "lake"], lang="en")
-    b = eng.phrase_and_pos(["spark", "lake"], lang="en")
-    assert a.tolist() == b.tolist()
-    assert eng.phrase_and_pos(["spark", "lake"], lang="zz").size == 0
-
-
-def test_postings_pos_first_positions_agree_across_modes(
-    ray_session, tmp_path
-):
-    """postings_pos on a full-mode index must return exactly the
-    first-mode payload (the first stored occurrence per posting)."""
-    paths = fixtures.write_webpages(str(tmp_path / "c"), 80, num_files=2)
-    full_dir, first_dir = str(tmp_path / "full"), str(tmp_path / "first")
-    build_index(paths, full_dir, IndexConfig(**CFG))
-    build_index(
-        paths, first_dir, IndexConfig(**{**CFG, "position_mode": "first"})
-    )
-    e_full, e_first = QueryEngine(full_dir), QueryEngine(first_dir)
-    from torchtrajectory_ray.functions.text import term_hash
-
-    for term in ("the", "spark", "wind", "data"):
-        tid = term_hash(term)
-        for sf, sl in zip(e_full.searchers, e_first.searchers):
-            af, pf = sf.postings_pos(tid)
-            al, pl = sl.postings_pos(tid)
-            assert af.tolist() == al.tolist()
-            assert pf.tolist() == pl.tolist()
-            # the documented cache must hit under BOTH position modes
-            for s in (sf, sl):
-                if len(af):
-                    assert tid in s._pos_cache
-                    c_ids, c_pos = s.postings_pos(tid)
-                    assert c_ids is s._pos_cache[tid][0]
+def test_filters_apply_on_positional_route(pos_engine, txt_engine):
+    a = txt_engine.phrase_and(["spark", "lake"], lang="en")
+    b = pos_engine.phrase_and(["spark", "lake"], lang="en")
+    assert a.size and a.tolist() == b.tolist()
+    assert pos_engine.phrase_and(["spark", "lake"], lang="zz").size == 0
 
 
 def test_positions_survive_extend_generations(ray_session, tmp_path):
@@ -178,90 +180,60 @@ def test_positions_survive_extend_generations(ray_session, tmp_path):
     build_index(paths, full, cfg)
     ei, ef = QueryEngine(inc), QueryEngine(full)
     for kind, terms, w in WORKLOAD:
-        if kind == "phrase":
-            a, b = ei.phrase_and_pos(terms), ef.phrase_and_pos(terms)
-        elif kind == "span":
-            a, b = ei.span_near_pos(terms, w), ef.span_near_pos(terms, w)
-        else:
-            a, b = ei.near_and_pos(terms, w), ef.near_and_pos(terms, w)
+        a, b = _answer(ei, kind, terms, w), _answer(ef, kind, terms, w)
         assert a.tolist() == b.tolist(), (kind, terms, w)
 
 
-def test_positional_distributed_serving_parity(
-    ray_session, tmp_path_factory
-):
-    """distributed=True (actor-pool searchers) answers every positional
-    operator identically to in-process serving."""
-    tmp_path = tmp_path_factory.mktemp("posdist")
-    paths = _planted_corpus(tmp_path)
-    idx = str(tmp_path / "idx")
-    build_index(paths, idx, IndexConfig(**CFG))
-    local = QueryEngine(idx)
-    dist = QueryEngine(idx, distributed=True)
+def test_positional_distributed_serving_parity(planted_dirs, txt_engine):
+    """distributed=True (actor-pool searchers) on the positional index
+    answers every proximity operator like the text index served
+    in-process."""
+    dist = QueryEngine(planted_dirs[0], distributed=True)
     for kind, terms, w in WORKLOAD:
-        if kind == "phrase":
-            a, b = local.phrase_and_pos(terms), dist.phrase_and_pos(terms)
-        elif kind == "span":
-            a, b = local.span_near_pos(terms, w), dist.span_near_pos(terms, w)
-        else:
-            a, b = local.near_and_pos(terms, w), dist.near_and_pos(terms, w)
+        a = _answer(txt_engine, kind, terms, w)
+        b = _answer(dist, kind, terms, w)
         assert a.tolist() == b.tolist(), (kind, terms, w)
 
 
-def test_search_box_phrase_routes_through_positions(
-    ray_session, tmp_path
-):
-    """engine.search auto-routes quoted phrases through the positional
-    verifier on full-position indexes; answers must equal a plain index's
+def test_search_box_phrase_routes_through_positions(pos_engine, txt_engine):
+    """engine.search's quoted phrases route through the positional
+    verifier on a positional index; answers must equal a plain index's
     text-route answers for the same search-box queries."""
-    paths = _planted_corpus(tmp_path)
-    pos_dir, txt_dir = str(tmp_path / "pos"), str(tmp_path / "txt")
-    build_index(paths, pos_dir, IndexConfig(**CFG))
-    build_index(
-        paths, txt_dir, IndexConfig(**{**CFG, "store_positions": False})
-    )
-    ep, et = QueryEngine(pos_dir), QueryEngine(txt_dir)
     for q in ('"spark lake" data', '"data data"', '+the "wind solar"'):
-        assert ep.search(q, k=10) == et.search(q, k=10), q
+        assert pos_engine.search(q, k=10) == txt_engine.search(q, k=10), q
 
 
-def test_fail_loud_without_full_positions(ray_session, tmp_path):
-    paths = fixtures.write_webpages(str(tmp_path / "c"), 40, num_files=2)
-    for mode_cfg in (
-        {**CFG, "store_positions": False},
-        {**CFG, "position_mode": "first"},
-    ):
-        d = str(
-            tmp_path / f"i-{mode_cfg['store_positions']}-{mode_cfg['position_mode']}"
-        )
-        build_index(paths, d, IndexConfig(**mode_cfg))
-        eng = QueryEngine(d)
-        with pytest.raises(ValueError, match="position_mode='full'"):
-            eng.phrase_and_pos(["the", "spark"])
+def test_fail_loud_without_full_positions(txt_engine):
+    """An index without positions has no position payload to decode."""
+    from torchtrajectory_ray.functions.text import term_hash
+
+    assert not txt_engine._positions
+    with pytest.raises(ValueError, match="store_positions=True"):
+        txt_engine.searchers[0].positions_full(term_hash("spark"))
 
 
 def test_tombstones_mask_positional_routes(ray_session, tmp_path):
-    """delete_docs must mask every positional verifier immediately, and
-    compact_index must preserve the positional answers while purging."""
+    """delete_docs must mask every positional verifier immediately, like
+    the text route, and compact_index must preserve the positional
+    answers while purging."""
     from torchtrajectory_ray.pipelines.build import compact_index, delete_docs
     from torchtrajectory_ray.pipelines.checkindex import check_index
 
     paths = _planted_corpus(tmp_path)
-    idx = str(tmp_path / "idx")
+    idx, txt = str(tmp_path / "idx"), str(tmp_path / "txt")
     build_index(paths, idx, IndexConfig(**CFG))
-    eng = QueryEngine(idx)
-    before = eng.phrase_and_pos(["spark", "lake"])
+    build_index(paths, txt, IndexConfig(**TXT_CFG))
+    before = QueryEngine(idx).phrase_and(["spark", "lake"])
     assert before.size >= 2
     victim = int(before[0])
     delete_docs(idx, [victim])
-    eng2 = QueryEngine(idx)
-    for hits in (
-        eng2.phrase_and_pos(["spark", "lake"]),
-        eng2.near_and_pos(["spark", "lake"], 8),
-        eng2.span_near_pos(["spark", "lake"], 8),
-    ):
+    delete_docs(txt, [victim])
+    eng2, et = QueryEngine(idx), QueryEngine(txt)
+    for kind, w in (("phrase", None), ("near", 8), ("span", 8)):
+        hits = _answer(eng2, kind, ["spark", "lake"], w)
         assert victim not in hits.tolist()
-    assert set(eng2.phrase_and_pos(["spark", "lake"]).tolist()) == set(
+        assert hits.tolist() == _answer(et, kind, ["spark", "lake"], w).tolist()
+    assert set(eng2.phrase_and(["spark", "lake"]).tolist()) == set(
         before.tolist()
     ) - {victim}
     # compaction purges physically; positional answers preserved and the
@@ -269,21 +241,56 @@ def test_tombstones_mask_positional_routes(ray_session, tmp_path):
     cdir = str(tmp_path / "compacted")
     compact_index(idx, cdir)
     ec = QueryEngine(cdir)
-    assert sorted(ec.phrase_and_pos(["spark", "lake"]).tolist()) == sorted(
-        eng2.phrase_and_pos(["spark", "lake"]).tolist()
+    assert ec._positions
+    assert sorted(ec.phrase_and(["spark", "lake"]).tolist()) == sorted(
+        et.phrase_and(["spark", "lake"]).tolist()
     )
     rep = check_index(cdir, distributed=False)
     assert rep["ok"], rep["violations"][:3]
 
 
-def test_invalid_position_mode_rejected(ray_session, tmp_path):
-    paths = fixtures.write_webpages(str(tmp_path / "c"), 10, num_files=1)
-    with pytest.raises(ValueError, match="position_mode"):
-        build_index(
-            paths,
-            str(tmp_path / "i"),
-            IndexConfig(**{**CFG, "position_mode": "bogus"}),
-        )
+def test_first_position_manifest_opens_without_positions(
+    ray_session, tmp_path
+):
+    """An index recorded as the retired ``position_mode="first"`` opens
+    as an index without positions (text route, one warning naming
+    compact_index); extend_index and build_index refuse it, and
+    compact_index rebuilds it with positions."""
+    from torchtrajectory_ray.pipelines.build import compact_index
+    from torchtrajectory_ray.pipelines.checkindex import check_index
+
+    paths = fixtures.write_webpages(str(tmp_path / "c"), 40, num_files=2)
+    idx, txt = str(tmp_path / "old"), str(tmp_path / "txt")
+    build_index(paths[:1], idx, IndexConfig(**CFG))
+    build_index(paths[:1], txt, IndexConfig(**TXT_CFG))
+    mpath = os.path.join(idx, "manifest.json")
+    with open(mpath) as f:
+        manifest = json.load(f)
+    manifest["config"]["position_mode"] = "first"
+    with open(mpath, "w") as f:
+        json.dump(manifest, f)
+
+    with pytest.warns(UserWarning, match="compact_index") as rec:
+        old = QueryEngine(idx)
+    assert sum("compact_index" in str(w.message) for w in rec) == 1
+    assert not old._positions
+    assert not any(s.positions for s in old.searchers)
+    et = QueryEngine(txt)
+    for q in (["the", "spark"], ["spark", "lake"]):
+        assert old.phrase_and(q).tolist() == et.phrase_and(q).tolist()
+        assert old.near_and(q, 6).tolist() == et.near_and(q, 6).tolist()
+        assert old.span_near(q, 6).tolist() == et.span_near(q, 6).tolist()
+    assert check_index(idx, distributed=False)["ok"]
+
+    with pytest.raises(ValueError, match="compact_index"):
+        extend_index(idx, paths[1:], IndexConfig(**CFG))
+    # nor does a rebuild into it resume the old layout as complete
+    with pytest.raises(ValueError, match="different config"):
+        build_index(paths[:1], idx, IndexConfig(**CFG))
+
+    cdir = str(tmp_path / "compacted")
+    compact_index(idx, cdir)
+    assert QueryEngine(cdir)._positions
 
 
 def test_route_equivalence_fuzz(ray_session, tmp_path):
@@ -307,9 +314,10 @@ def test_route_equivalence_fuzz(ray_session, tmp_path):
     }
     p = str(tmp_path / "fuzz.parquet")
     pq.write_table(pa.table(rows), p)
-    idx = str(tmp_path / "idx")
-    build_index([p], idx, IndexConfig(**CFG))
-    eng = QueryEngine(idx)
+    pos_dir, txt_dir = str(tmp_path / "pos"), str(tmp_path / "txt")
+    build_index([p], pos_dir, IndexConfig(**CFG))
+    build_index([p], txt_dir, IndexConfig(**TXT_CFG))
+    ep, et = QueryEngine(pos_dir), QueryEngine(txt_dir)
     cases = []
     for _ in range(30):
         n = int(rng.integers(2, 4))
@@ -318,18 +326,15 @@ def test_route_equivalence_fuzz(ray_session, tmp_path):
         cases.append((terms, w))
     for terms, w in cases:
         assert (
-            eng.phrase_and(terms).tolist()
-            == eng.phrase_and_pos(terms).tolist()
+            et.phrase_and(terms).tolist() == ep.phrase_and(terms).tolist()
         ), ("phrase", terms)
         assert (
-            eng.span_near(terms, w).tolist()
-            == eng.span_near_pos(terms, w).tolist()
+            et.span_near(terms, w).tolist() == ep.span_near(terms, w).tolist()
         ), ("span", terms, w)
         uniq = list(dict.fromkeys(terms))
         if w >= len(uniq):
             assert (
-                eng.near_and(terms, w).tolist()
-                == eng.near_and_pos(terms, w).tolist()
+                et.near_and(terms, w).tolist() == ep.near_and(terms, w).tolist()
             ), ("near", terms, w)
 
 

@@ -37,7 +37,6 @@ def test_full_position_payload_roundtrip_property(docs):
         num_term_shards=2,
         num_salts=2,
         store_positions=True,
-        position_mode="full",
     )
     tc = TokenizeCombine(cfg, shift=2)
     ids = np.arange(len(docs), dtype=np.int64) * 3  # sparse ids

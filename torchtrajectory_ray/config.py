@@ -44,16 +44,13 @@ class IndexConfig:
       per-term bounds of the MaxScore top-k).
     - ``tokenize_batch_size``: docs per combine batch inside the fused
       build task (each batch becomes one set of partial runs).
-    - ``store_positions``: also store a position payload per (term, doc)
-      — analog of the reference's posting ``position`` payload
-      (Torch/base/invertedIndex/InvertedIndex.java:23-25).
-    - ``position_mode`` (with ``store_positions=True``): ``"first"``
-      stores the first occurrence only (the reference's exact layout —
-      one int per posting); ``"full"`` stores EVERY occurrence
-      (delta+varint within each doc, the Lucene positional-postings
-      layout), which makes phrase / ordered-span / unordered-proximity
-      queries exact INDEX-ONLY operations — no forward-index re-read,
-      repeated terms handled.
+    - ``store_positions``: also store EVERY occurrence position of each
+      (term, doc), delta+varint within the posting (the Lucene
+      positional-postings layout; the reference keeps one position per
+      posting, Torch/base/invertedIndex/InvertedIndex.java:23-25).  The
+      engine then answers phrase / ordered-span / unordered-proximity
+      queries from the postings alone — no forward-index re-read,
+      repeated terms and later occurrences included.
     """
 
     num_term_shards: int = 8
@@ -66,7 +63,6 @@ class IndexConfig:
     tokenizer: str = "default"
     tokenize_batch_size: int = 512
     store_positions: bool = False
-    position_mode: str = "first"  # "first" | "full" (see class docstring)
     # parquet row-group size of segment files: small groups let the LAZY
     # query path prune by term_id row-group statistics (segments are
     # written sorted by term_id)

@@ -30,8 +30,3 @@ def tf_norm(
     tf = tf.astype(np.float64)
     denom = tf + k1 * (1.0 - b + b * (doclen.astype(np.float64) / avgdl))
     return tf * (k1 + 1.0) / denom
-
-
-def term_upper_bound(df: float, n_docs: float, k1: float) -> float:
-    """Max possible contribution of one term: idf · (k1+1) (tf_norm < k1+1)."""
-    return float(idf(df, n_docs)) * (k1 + 1.0)

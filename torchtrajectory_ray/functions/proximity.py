@@ -1,19 +1,20 @@
 """Pure per-document proximity kernels over POSITION ARRAYS.
 
-Used by the forward-index verification route
+``QueryEngine.near_and`` / ``span_near`` pick their verifier from the
+index.  On an index without positions they verify against the text
 (``state.engine._span_doc_hits`` / ``_near_doc_hits``: each term's
-positions come from re-tokenizing the stored text) and as the
-REFERENCE SEMANTICS for the positional-postings route
-(``state.segment.SaltSearcher.span_pos`` / ``near_pos``), which
-re-expresses the same decisions vectorized across all candidate docs at
-once via composite ``ordinal<<32|pos`` keys — the route identity is
-pytest- and driver-oracle-gated (``tests/test_positions.py``,
+positions come from re-tokenizing the stored text), calling these
+kernels per doc.  On a ``store_positions=True`` index they answer from
+the postings (``state.segment.SaltSearcher.span_pos`` / ``near_pos``),
+which re-express the same decisions vectorized across all candidate
+docs at once via composite ``ordinal<<32|pos`` keys.  These kernels are
+the reference semantics of both; the route identity is pytest- and
+driver-oracle-gated (``tests/test_positions.py``,
 ``queries()[span_match_pos / near_match_pos]``).
 
 The kernels take one sorted int64 position array per query term and
 answer "does this document match" — no text, no tokenizer.
 """
-
 from __future__ import annotations
 
 import numpy as np

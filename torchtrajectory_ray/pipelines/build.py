@@ -221,7 +221,7 @@ def build_index(
     if os.path.exists(manifest_path):
         with open(manifest_path) as f:
             manifest = json.load(f)
-        if config_from_manifest(manifest) != cfg:
+        if first_positions(manifest) or config_from_manifest(manifest) != cfg:
             raise ValueError(
                 f"{out_dir} holds a complete index built with a different "
                 "config; use a fresh out_dir (indexes are immutable)"
@@ -244,11 +244,6 @@ def build_index(
     dict_dir = os.path.join(out_dir, "dict")
     for d in (docs_dir, partials_dir, seg_dir, dict_dir):
         os.makedirs(d, exist_ok=True)
-
-    if cfg.position_mode not in ("first", "full"):
-        raise ValueError(
-            f"position_mode={cfg.position_mode!r}: expected 'first' or 'full'"
-        )
 
     t0 = time.monotonic()
     sorted_inputs = sorted(input_paths)
@@ -379,6 +374,13 @@ def extend_index(
     manifest_path = os.path.join(out_dir, "manifest.json")
     with open(manifest_path) as f:
         manifest = json.load(f)
+    if first_positions(manifest):
+        raise ValueError(
+            f"{out_dir} stores one position per posting (the retired "
+            "position_mode='first'); appending full-position runs beside "
+            "them would mix layouts — rebuild it first with "
+            "compact_index(index_dir, out_dir)"
+        )
     if config_from_manifest(manifest) != cfg:
         raise ValueError("config mismatch with the existing index")
     gen = int(manifest.get("generation", 0)) + 1
@@ -464,9 +466,23 @@ def extend_index(
     return manifest
 
 
-# settings older indexes still record in manifest["config"]; neither
-# changes what a build writes, so they are ignored on read
-_RETIRED_CONFIG_KEYS = ("shuffle_mode", "tokenize_concurrency")
+# settings older indexes still record in manifest["config"]; they are
+# ignored on read (``position_mode`` is honoured by first_positions)
+_RETIRED_CONFIG_KEYS = (
+    "shuffle_mode",
+    "tokenize_concurrency",
+    "position_mode",
+)
+
+
+def first_positions(manifest: dict) -> bool:
+    """True for an index built with the retired ``position_mode="first"``
+    layout (one position per posting).  Its payload cannot verify
+    repeated terms or later occurrences, so such an index serves as one
+    without positions; :func:`compact_index` rebuilds it with full
+    positions."""
+    c = manifest["config"]
+    return bool(c.get("store_positions")) and c.get("position_mode") == "first"
 
 
 def config_from_manifest(manifest: dict) -> IndexConfig:
@@ -703,28 +719,3 @@ def compact_index(
     os.makedirs(link_dir, exist_ok=True)
     inputs = _stage_source_inputs(index_dir, manifest, link_dir, prefix="c")
     return build_index(inputs, out_dir, cfg)
-
-
-def build_index_from_dataset(
-    ds: "ray.data.Dataset",
-    out_dir: str,
-    cfg: IndexConfig | None = None,
-    *,
-    stage_dir_name: str = "input",
-) -> dict:
-    """Convenience: stage an in-memory/derived Dataset to parquet shards
-    under ``out_dir/input/`` then run :func:`build_index` on them.  Used
-    by tests and by the driver-facing queries over the sf ``documents``
-    table (which arrives as one parquet file)."""
-    stage_dir = os.path.join(out_dir, stage_dir_name)
-    if not os.path.exists(os.path.join(stage_dir, "_STAGED")):
-        os.makedirs(stage_dir, exist_ok=True)
-        ds.write_parquet(stage_dir)
-        with open(os.path.join(stage_dir, "_STAGED"), "w") as f:
-            f.write("ok")
-    paths = [
-        os.path.join(stage_dir, p)
-        for p in sorted(os.listdir(stage_dir))
-        if p.endswith(".parquet")
-    ]
-    return build_index(paths, out_dir, cfg)

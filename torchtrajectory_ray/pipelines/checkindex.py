@@ -20,8 +20,8 @@ Checked per segment row:
 - max_tf / min_dl equal the decoded maxima/minima (WAND bounds);
 - block-max metadata (blk_last / blk_max_tf / blk_min_dl) re-derived
   bit-exactly from the decoded postings;
-- position payload: count == df ("first" mode) or per-posting tf
-  ("full" mode), ascending within each doc, strictly below the doclen.
+- position payload: per-posting tf positions, strictly ascending within
+  each doc, strictly below the doclen.
 
 Cross-checked globally:
 - dictionary df / max_tf / min_dl == fold of the segment partials,
@@ -44,7 +44,7 @@ from torchtrajectory_ray.functions.codec import delta_decode, varint_decode
 
 
 def _check_segment_file(
-    path: str, num_salts: int, shift: int, position_mode, block_size: int
+    path: str, num_salts: int, shift: int, positions: bool, block_size: int
 ):
     """Violations + per-term (df, max_tf, min_dl) partials for ONE
     segment parquet.  Pure function of the file — the map_batches task
@@ -103,28 +103,23 @@ def _check_segment_file(
                 ):
                     violations.append(f"{where}: block-max metadata wrong")
         # position payload
-        if position_mode is not None and df:
+        if positions and df:
             try:
-                if position_mode == "full":
-                    total = int(tfs.sum())
-                    pos = varint_decode(row["pos_blob"], total)
-                    # undelta per posting and range-check against doclen
-                    pstarts = np.concatenate(([0], np.cumsum(tfs)[:-1]))
-                    cs = np.cumsum(pos)
-                    base = cs[pstarts] - pos[pstarts]
-                    absolute = cs - np.repeat(base, tfs)
-                    if bool(np.any(absolute >= np.repeat(dls, tfs))):
-                        violations.append(f"{where}: position >= doclen")
-                    nonstart = np.ones(total, dtype=bool)
-                    nonstart[pstarts] = False
-                    if bool(np.any(pos[nonstart] < 1)):
-                        violations.append(
-                            f"{where}: positions not strictly ascending"
-                        )
-                else:
-                    pos = varint_decode(row["pos_blob"], df)
-                    if bool(np.any(pos >= dls)):
-                        violations.append(f"{where}: position >= doclen")
+                total = int(tfs.sum())
+                pos = varint_decode(row["pos_blob"], total)
+                # undelta per posting and range-check against doclen
+                pstarts = np.concatenate(([0], np.cumsum(tfs)[:-1]))
+                cs = np.cumsum(pos)
+                base = cs[pstarts] - pos[pstarts]
+                absolute = cs - np.repeat(base, tfs)
+                if bool(np.any(absolute >= np.repeat(dls, tfs))):
+                    violations.append(f"{where}: position >= doclen")
+                nonstart = np.ones(total, dtype=bool)
+                nonstart[pstarts] = False
+                if bool(np.any(pos[nonstart] < 1)):
+                    violations.append(
+                        f"{where}: positions not strictly ascending"
+                    )
             except Exception as e:
                 violations.append(f"{where}: position decode failed: {e}")
         cur = agg.get(tid)
@@ -138,10 +133,10 @@ def _check_segment_file(
 
 
 class _SegmentCheckTask:
-    def __init__(self, num_salts: int, shift: int, position_mode, block_size):
+    def __init__(self, num_salts: int, shift: int, positions: bool, block_size):
         self.num_salts = num_salts
         self.shift = shift
-        self.position_mode = position_mode
+        self.positions = positions
         self.block_size = block_size
 
     def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
@@ -151,7 +146,7 @@ class _SegmentCheckTask:
                 path,
                 self.num_salts,
                 self.shift,
-                self.position_mode,
+                self.positions,
                 self.block_size,
             )
             out.append(
@@ -176,7 +171,10 @@ def check_index(index_dir: str, *, distributed: bool = True) -> dict:
     ``{"ok": bool, "violations": [...], "n_segments": int, "n_terms":
     int, "n_postings": int}``.  ``distributed=False`` runs the segment
     pass inline (tests / tiny indexes)."""
-    from torchtrajectory_ray.pipelines.build import manifest_abspath
+    from torchtrajectory_ray.pipelines.build import (
+        first_positions,
+        manifest_abspath,
+    )
 
     with open(os.path.join(index_dir, "manifest.json")) as f:
         manifest = json.load(f)
@@ -195,12 +193,12 @@ def check_index(index_dir: str, *, distributed: bool = True) -> dict:
                 missing.append(p)
     violations += [f"manifest path missing on disk: {p}" for p in missing]
 
-    position_mode = (
-        cfg.get("position_mode", "first") if cfg.get("store_positions") else None
-    )
+    # a retired first-position payload is served as no positions, so it
+    # is not checked either
+    positions = bool(cfg.get("store_positions")) and not first_positions(manifest)
     shift = int(stats["salt_shift"])
     task = _SegmentCheckTask(
-        cfg["num_salts"], shift, position_mode, int(cfg["block_size"])
+        cfg["num_salts"], shift, positions, int(cfg["block_size"])
     )
     if distributed and seg_paths:
         import ray.data

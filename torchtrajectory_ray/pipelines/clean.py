@@ -322,14 +322,6 @@ def _semi_join_kept(
     )
 
 
-def _kept_docs(sf_dir: str, verdicts: ray.data.Dataset) -> ray.data.Dataset:
-    """Kept docs' (doc_id, text) via the distributed semi-join."""
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
-    return _semi_join_kept(docs, verdicts)
-
-
 def _mixed_outputs(sf_dir: str) -> ray.data.Dataset:
     """Fused read → feats+sketch → ONE combined shuffle → materialized
     (kind, doc_id, doc_b, reason, capped) rows: verdicts (kind=0) and

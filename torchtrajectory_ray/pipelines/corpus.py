@@ -247,16 +247,13 @@ def documents_index(sf_dir: str, cfg: IndexConfig = _INDEX_CFG) -> str:
 
 
 def documents_index_pos(sf_dir: str) -> str:
-    """The gate corpus indexed WITH full positional postings
-    (``position_mode="full"`` — every occurrence in the posting list),
+    """The gate corpus indexed WITH positional postings
+    (``store_positions=True`` — every occurrence in the posting list),
     serving the index-only phrase/span/NEAR route."""
     import dataclasses
 
     return documents_index(
-        sf_dir,
-        dataclasses.replace(
-            _INDEX_CFG, store_positions=True, position_mode="full"
-        ),
+        sf_dir, dataclasses.replace(_INDEX_CFG, store_positions=True)
     )
 
 
@@ -474,36 +471,36 @@ def topk_bm25_pos(sf_dir: str, k: int = 10) -> pd.DataFrame:
 
 def phrase_match_pos(sf_dir: str) -> pd.DataFrame:
     """query_id, doc_id — the SAME phrase workload answered entirely from
-    full positional postings (``QueryEngine.phrase_and_pos``; no
-    forward-index read).  Shares ``phrase_match``'s SQL oracle — the two
+    full positional postings (``QueryEngine.phrase_and`` on the
+    positional index; no forward-index read).  Shares ``phrase_match``'s SQL oracle — the two
     routes must produce identical rows."""
     eng = _engine(documents_index_pos(sf_dir))
     rows = []
     for q in PHRASE_QUERIES:
-        for d in eng.phrase_and_pos(q["phrase"]):
+        for d in eng.phrase_and(q["phrase"]):
             rows.append((q["query_id"], int(d)))
     return pd.DataFrame(rows, columns=["query_id", "doc_id"])
 
 
 def near_match_pos(sf_dir: str) -> pd.DataFrame:
     """query_id, doc_id — the NEAR workload from full positional postings
-    (``QueryEngine.near_and_pos``); shares ``near_match``'s oracle."""
+    (``QueryEngine.near_and``); shares ``near_match``'s oracle."""
     eng = _engine(documents_index_pos(sf_dir))
     rows = []
     for q in NEAR_QUERIES:
-        for d in eng.near_and_pos(q["terms"], q["window"]):
+        for d in eng.near_and(q["terms"], q["window"]):
             rows.append((q["query_id"], int(d)))
     return pd.DataFrame(rows, columns=["query_id", "doc_id"])
 
 
 def span_match_pos(sf_dir: str) -> pd.DataFrame:
     """query_id, doc_id — the ordered-span workload from full positional
-    postings (``QueryEngine.span_near_pos``); shares ``span_match``'s
+    postings (``QueryEngine.span_near``); shares ``span_match``'s
     oracle."""
     eng = _engine(documents_index_pos(sf_dir))
     rows = []
     for q in SPAN_QUERIES:
-        for d in eng.span_near_pos(q["terms"], q["window"]):
+        for d in eng.span_near(q["terms"], q["window"]):
             rows.append((q["query_id"], int(d)))
     return pd.DataFrame(rows, columns=["query_id", "doc_id"])
 

@@ -227,13 +227,12 @@ class TokenizeCombine:
         codes, uniq_terms = pd.factorize(flat_terms, sort=False)
         n_uniq = len(uniq_terms)
 
-        # per-(doc, term) tf + first position
+        # per-(doc, term) tf
         key = doc_idx * n_uniq + codes
         order = np.argsort(key, kind="stable")
         skey = key[order]
         heads = np.concatenate(([0], np.flatnonzero(skey[1:] != skey[:-1]) + 1))
         tf = np.diff(np.concatenate((heads, [total]))).astype(np.int64)
-        first_pos = pos_in_doc[order][heads]
         e_doc_idx = doc_idx[order][heads]
         e_code = codes[order][heads]
         e_doc_id = doc_ids[e_doc_idx]
@@ -257,10 +256,8 @@ class TokenizeCombine:
         d_ids = e_doc_id[run_order]
         d_tf = tf[run_order]
         d_dl = e_doclen[run_order]
-        d_pos = first_pos[run_order]
 
-        full_pos = cfg.store_positions and cfg.position_mode == "full"
-        if full_pos:
+        if cfg.store_positions:
             # EVERY occurrence position, nested (run, doc asc, pos asc) to
             # mirror the posting order exactly: sort the raw token stream
             # by the same keys the entries were sorted by.  Delta within
@@ -308,15 +305,9 @@ class TokenizeCombine:
                     varint_encode_multi(d_dl, run_len), pa.binary()
                 ),
                 "pos_blob": pa.array(
-                    varint_encode_multi(
-                        dpos, np.add.reduceat(d_tf, run_heads)
-                    )
-                    if full_pos
-                    else (
-                        varint_encode_multi(d_pos, run_len)
-                        if cfg.store_positions
-                        else [b""] * len(run_len)
-                    ),
+                    varint_encode_multi(dpos, np.add.reduceat(d_tf, run_heads))
+                    if cfg.store_positions
+                    else [b""] * len(run_len),
                     pa.binary(),
                 ),
             }
@@ -523,18 +514,12 @@ class SegmentWriter:
         ids = delta_decode_concat(group["doc_ids_blob"].to_pylist(), run_df)
         tfs = varint_decode_concat(group["tfs_blob"].to_pylist(), total)
         dls = varint_decode_concat(group["doclens_blob"].to_pylist(), total)
-        full_pos = cfg.store_positions and cfg.position_mode == "full"
-        poss = (
-            varint_decode_concat(group["pos_blob"].to_pylist(), total)
-            if cfg.store_positions and not full_pos
-            else None
-        )
         pos_full = (
-            # full mode: one delta+varint run PER POSTING (tf values each),
-            # segmented by the just-decoded tfs — delta_decode_concat
-            # restores absolute positions per posting in one pass
+            # one delta+varint run PER POSTING (tf values each), segmented
+            # by the just-decoded tfs — delta_decode_concat restores
+            # absolute positions per posting in one pass
             delta_decode_concat(group["pos_blob"].to_pylist(), tfs)
-            if full_pos
+            if cfg.store_positions
             else None
         )
         post_tid = np.repeat(run_tid_u[run_order], run_df)
@@ -550,8 +535,6 @@ class SegmentWriter:
             pos_full = pos_full[gather]
         ids, tfs, dls = ids[order], tfs[order], dls[order]
         post_tid, post_salt = post_tid[order], post_salt[order]
-        if poss is not None:
-            poss = poss[order]
 
         # (term_id, salt) group boundaries over the merged postings
         change = (post_tid[1:] != post_tid[:-1]) | (post_salt[1:] != post_salt[:-1])
@@ -604,8 +587,6 @@ class SegmentWriter:
             dpos[1:] -= pos_full[:-1]
             dpos[new_pstarts] = pos_full[new_pstarts]
             pos_blobs = varint_encode_multi(dpos, np.add.reduceat(tfs, heads))
-        elif poss is not None:
-            pos_blobs = varint_encode_multi(poss, glen)
         else:
             pos_blobs = [b""] * len(glen)
         n_postings = total

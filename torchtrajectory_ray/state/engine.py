@@ -16,6 +16,7 @@ from __future__ import annotations
 import heapq
 import json
 import os
+import warnings
 
 import numpy as np
 import pandas as pd
@@ -207,20 +208,28 @@ class QueryEngine:
         self.scorer = make_scorer(scorer, k1=self.k1, b=self.b)
         self._tokenizer_name = cfg.get("tokenizer", "default")
         self._tokenize = get_tokenizer(self._tokenizer_name)
-        # position payload of this index: None (not stored), "first"
-        # (reference layout), or "full" (Lucene positional postings —
-        # enables the index-only phrase/span/near route)
-        self.position_mode = (
-            cfg.get("position_mode", "first")
-            if cfg.get("store_positions")
-            else None
+        # every occurrence position in the postings (store_positions=True)
+        # routes phrase / span / NEAR through the index alone
+        from torchtrajectory_ray.pipelines.build import (
+            first_positions,
+            manifest_abspath,
         )
+
+        legacy = first_positions(self.manifest)
+        if legacy:
+            warnings.warn(
+                f"{index_dir} stores one position per posting (the retired "
+                "position_mode='first'); it is served as an index without "
+                "positions (phrase / near / span verify against the text). "
+                "compact_index(index_dir, out_dir) rebuilds it with full "
+                "positions.",
+                stacklevel=2,
+            )
+        self._positions = bool(cfg.get("store_positions")) and not legacy
 
         # term dictionary: term_id -> (df, max_tf, min_dl).  At 10^12-doc scale
         # this table is itself term-sharded and probed with parquet
         # predicate pushdown per query; at bench scale it fits the driver.
-
-        from torchtrajectory_ray.pipelines.build import manifest_abspath
 
         dict_tbls = [
             pq.read_table(manifest_abspath(p, index_dir))
@@ -306,7 +315,7 @@ class QueryEngine:
                 load_mode=load_mode,
                 scorer=scorer,
                 deleted=self._deleted_all[dead_salt == s],
-                position_mode=self.position_mode or "first",
+                positions=self._positions,
                 docs=self._docs[s] if self._docs is not None else None,
             )
             for s in range(self.num_salts)
@@ -829,30 +838,25 @@ class QueryEngine:
         max_candidates: int = 5_000_000,
         **filt,
     ) -> np.ndarray:
-        """EXACT phrase matching on any index, repeated terms included.
+        """EXACT phrase matching on any index, repeated terms and matches
+        at later occurrences included — which the reference, storing one
+        position per (term, doc) (InvertedIndex.java:23-25), cannot
+        verify.  The route follows the index (:meth:`_verify`):
 
-        Candidates come from the boolean AND of the phrase's unique
-        terms (every true match must contain them all), then each
-        candidate is VERIFIED against the forward index: a pushdown read
-        of only the candidate docs, re-tokenized with the build's
-        tokenizer, sliding-window equality vectorized per doc.  This
-        exceeds the reference, which stores one position per (term, doc)
-        (InvertedIndex.java:23-25) and so can neither verify repeated
-        terms nor matches at non-first occurrences; the verification
-        cost is bounded by the AND candidate set — the same
-        candidate-then-hydrate shape as ``resolve``.
-
-        Candidate sets up to ``distribute_over`` verify on the driver
-        (interactive serving latency); larger sets fan out as chunked
-        ``map_batches`` tasks, each doing its OWN pushdown read of only
-        its chunk's docs — the driver never materializes candidate texts
-        (the ``dedup._VerifyPairsTask`` shape).  A degenerate phrase of
-        stopwords whose AND exceeds ``max_candidates`` fails loud
-        instead of grinding a corpus-sized verification.
-
-        The searcher-level first-position chain (``SaltSearcher.
-        phrase_and``) remains available as a cheap index-only prefilter
-        for indexes built with ``store_positions=True``."""
+        - ``store_positions=True``: index-only.  Every salt searcher
+          verifies its own docs from the positions in its decoded
+          postings (``SaltSearcher.phrase_pos``); no docs shard is read,
+          and ``distribute_over`` / ``max_candidates`` do not apply.
+        - otherwise: candidates are the boolean AND of the phrase's
+          unique terms, each VERIFIED against the forward index — a
+          pushdown read of only the candidate docs, re-tokenized with
+          the build's tokenizer, sliding-window equality per doc.  Up to
+          ``distribute_over`` candidates verify on the driver; larger
+          sets fan out as chunked ``map_batches`` tasks, each doing its
+          OWN pushdown read of its chunk (the ``dedup._VerifyPairsTask``
+          shape), so candidate texts never reach the driver.  An AND
+          larger than ``max_candidates`` (a stopword phrase) fails loud
+          instead of grinding a corpus-sized verification."""
         return self._verify(
             terms, None, False, distribute_over, max_candidates, filt
         )
@@ -868,12 +872,12 @@ class QueryEngine:
     ) -> np.ndarray:
         """Unordered proximity (NEAR/WITHIN): docs where every unique
         query term occurs inside some span of ≤ ``window`` consecutive
-        tokens, any order.  Same candidate-then-verify shape as
-        :meth:`phrase_and` — boolean AND of the unique terms from the
-        index, then a forward-index verification (two-pointer minimal
-        cover per doc) on the driver or fanned out as chunked pushdown
-        tasks.  ``phrase_and(t)`` ⊆ ``near_and(t, len(t))`` always;
-        equality when terms are distinct and order-free."""
+        tokens, any order.  Routed like :meth:`phrase_and` — from the
+        postings' positions (``SaltSearcher.near_pos``; ``distribute_over``
+        / ``max_candidates`` do not apply) or by forward-index
+        verification (two-pointer minimal cover per doc).
+        ``phrase_and(t)`` ⊆ ``near_and(t, len(t))`` always; equality
+        when terms are distinct and order-free."""
         n = len(set(terms))
         if window < n:
             raise ValueError(
@@ -897,9 +901,11 @@ class QueryEngine:
         inOrder=true shape): docs where the query terms appear in the
         given order at strictly increasing positions inside a span of
         ≤ ``window`` tokens.  A repeated query term needs distinct
-        occurrences.  Same candidate-then-verify shape as
-        :meth:`near_and`; ``phrase_and(t) == span_near(t, len(t))``
-        when every in-window ordered placement is consecutive, and
+        occurrences.  Routed like :meth:`phrase_and` — from the postings'
+        positions (``SaltSearcher.span_pos``; ``distribute_over`` /
+        ``max_candidates`` do not apply) or by forward-index
+        verification.  ``phrase_and(t) == span_near(t, len(t))`` when
+        every in-window ordered placement is consecutive, and
         ``span_near(t, w)`` ⊆ ``near_and(t, w)`` always."""
         if window < len(terms):
             raise ValueError(
@@ -920,16 +926,19 @@ class QueryEngine:
         max_candidates: int,
         filt: dict,
     ) -> np.ndarray:
-        """The candidate-then-verify tail of :meth:`phrase_and`,
-        :meth:`near_and` and :meth:`span_near`: an unindexed term
-        matches nothing; the candidates are the AND of the unique terms;
-        more than ``max_candidates`` of them (a stopword query) fail
-        loud; up to ``distribute_over`` verify on the driver, more fan
-        out as chunked tasks.  ``window`` / ``ordered`` as in
+        """The shared tail of :meth:`phrase_and`, :meth:`near_and` and
+        :meth:`span_near`: no terms, or an unindexed term, match nothing;
+        an index with positions answers from them (:meth:`_pos_match`);
+        otherwise the candidates are the AND of the unique terms, more
+        than ``max_candidates`` of them (a stopword query) fail loud, up
+        to ``distribute_over`` verify on the driver and more fan out as
+        chunked tasks.  ``window`` / ``ordered`` as in
         :func:`_verify_docs`."""
         uniq = list(dict.fromkeys(terms))
-        if not all(self._term_indexed(term_hash(t)) for t in uniq):
+        if not uniq or not all(self._term_indexed(term_hash(t)) for t in uniq):
             return np.empty(0, dtype=np.int64)
+        if self._positions:
+            return self._pos_match(terms, window, ordered, filt)
         cand = self.bool_and(uniq, **filt)
         if cand.size == 0:
             return cand
@@ -948,17 +957,23 @@ class QueryEngine:
             )
         return self._verify_phrase_distributed(cand, terms, window, ordered)
 
-    # --- positional-postings route (position_mode="full" indexes) ---
-    #
-    # The Lucene layout: every occurrence position lives IN the posting
-    # list, so phrase / span / NEAR are index-only operations — no
-    # forward-index read, no re-tokenization, and the verification work
-    # is already partitioned across the salt searchers (each verifies
-    # its own doc range from its own decoded postings).  The text-route
-    # methods above stay available for indexes without the payload; the
-    # positional verifiers re-express the functions/proximity.py kernels
-    # vectorized across all candidate docs (identity fuzz- and
-    # oracle-gated).
+    def _pos_match(
+        self, terms: list[str], window: int | None, ordered: bool, filt: dict
+    ) -> np.ndarray:
+        """The positional route (``store_positions=True`` indexes): the
+        Lucene layout keeps every occurrence position in the posting
+        list, so each salt searcher verifies its own doc range from its
+        own decoded postings — no forward-index read, no
+        re-tokenization.  The searchers' verifiers re-express the
+        functions/proximity.py kernels vectorized across all candidate
+        docs (identity fuzz- and oracle-gated against the text route)."""
+        tids = [term_hash(t) for t in terms]
+        if window is None:
+            parts = self._fanout("phrase_pos", tids, *self._filt3(filt))
+        else:
+            method = "span_pos" if ordered else "near_pos"
+            parts = self._fanout(method, tids, window, *self._filt3(filt))
+        return np.sort(np.concatenate(parts))
 
     def _term_indexed(self, tid: int) -> bool:
         """EXPLICIT dictionary membership.  A present row must carry
@@ -975,62 +990,6 @@ class QueryEngine:
                 "dictionary and postings disagree — run check_index"
             )
         return True
-
-    def _pos_tids(self, terms: list[str]) -> list[int] | None:
-        if self.position_mode != "full":
-            raise ValueError(
-                "this index was not built with store_positions=True, "
-                "position_mode='full'; use phrase_and/near_and/span_near "
-                "(forward-index verification) instead"
-            )
-        for t in dict.fromkeys(terms):
-            if not self._term_indexed(term_hash(t)):
-                return None
-        return [term_hash(t) for t in terms]
-
-    def phrase_and_pos(self, terms: list[str], **filt) -> np.ndarray:
-        """EXACT phrase matching from full positional postings — same
-        answer as :meth:`phrase_and` (tested identity), no forward-index
-        read.  Repeated terms and non-first occurrences included."""
-        tids = self._pos_tids(terms)
-        if tids is None:
-            return np.empty(0, dtype=np.int64)
-        parts = self._fanout("phrase_pos", tids, *self._filt3(filt))
-        return np.sort(np.concatenate(parts))
-
-    def span_near_pos(
-        self, terms: list[str], window: int, **filt
-    ) -> np.ndarray:
-        """Ordered proximity from full positional postings — same answer
-        as :meth:`span_near` (tested identity)."""
-        if window < len(terms):
-            raise ValueError(
-                f"span_near_pos: window={window} can never hold "
-                f"{len(terms)} in-order occurrences; use window >= "
-                f"{len(terms)}"
-            )
-        tids = self._pos_tids(terms)
-        if tids is None:
-            return np.empty(0, dtype=np.int64)
-        parts = self._fanout("span_pos", tids, window, *self._filt3(filt))
-        return np.sort(np.concatenate(parts))
-
-    def near_and_pos(
-        self, terms: list[str], window: int, **filt
-    ) -> np.ndarray:
-        """Unordered proximity from full positional postings — same
-        answer as :meth:`near_and` (tested identity)."""
-        uniq = list(dict.fromkeys(terms))
-        if window < len(uniq):
-            raise ValueError(
-                f"near_and_pos: window={window} can never cover "
-                f"{len(uniq)} distinct terms; use window >= {len(uniq)}"
-            )
-        tids = self._pos_tids(terms)
-        if tids is None:
-            return np.empty(0, dtype=np.int64)
-        parts = self._fanout("near_pos", tids, window, *self._filt3(filt))
-        return np.sort(np.concatenate(parts))
 
     def _verify_phrase_distributed(
         self, cand: np.ndarray, terms: list[str], window: int | None, ordered: bool
@@ -1623,28 +1582,14 @@ class QueryEngine:
         def inter(a, b):
             return b if a is None else np.intersect1d(a, b)
 
-        # phrase clauses auto-route: index-only positional matching when
-        # this index carries the full payload (identical answers — the
-        # routes share driver oracles), forward-index verification
-        # otherwise
-        phrase_op = (
-            self.phrase_and_pos
-            if self.position_mode == "full"
-            else self.phrase_and
-        )
         for ph in pq_.phrases:
-            restrict = inter(restrict, phrase_op(ph, **filt))
+            restrict = inter(restrict, self.phrase_and(ph, **filt))
             if restrict.size == 0:
                 return []
         # "..."~N proximity clauses: ordered span, window = len + slop
-        span_op = (
-            self.span_near_pos
-            if self.position_mode == "full"
-            else self.span_near
-        )
         for toks, slop in pq_.prox:
             restrict = inter(
-                restrict, span_op(toks, len(toks) + slop, **filt)
+                restrict, self.span_near(toks, len(toks) + slop, **filt)
             )
             if restrict.size == 0:
                 return []

@@ -225,7 +225,7 @@ class SaltSearcher:
         load_mode: str = "memory",
         scorer: str = "bm25",
         deleted: np.ndarray | None = None,
-        position_mode: str = "first",
+        positions: bool = False,
         docs: _DocStore | None = None,
     ):
         """``seg_paths`` / ``docs_paths``: this bucket's segments and the
@@ -259,13 +259,11 @@ class SaltSearcher:
         # pluggable similarity measure (scoring.SCORERS); bounds are
         # (max_tf, min_dl) so any registered scorer works on any index
         self.scorer = make_scorer(scorer, k1=k1, b=b)
-        # how pos_blob is encoded ("first" = one int per posting, the
-        # reference layout; "full" = every occurrence, Lucene layout) —
+        # pos_blob holds every occurrence position (the Lucene layout) —
         # from the build manifest via the engine
-        self.position_mode = position_mode
+        self.positions = positions
         self._term_stores = _LRU(self._LAZY_CACHE_MAX)  # lazy mode only
         self._decoded_cache = _LRU(self._DECODED_CACHE_MAX)
-        self._pos_cache = _LRU(self._DECODED_CACHE_MAX)
         self._posfull_cache = _LRU(self._DECODED_CACHE_MAX)
         self.seg_paths = list(seg_paths)
         self._store = (
@@ -379,47 +377,19 @@ class SaltSearcher:
         m = want[j] == ids
         return ids[m], tfs[m], dls[m]
 
-    def postings_pos(self, term_id: int) -> tuple[np.ndarray, np.ndarray]:
-        """(doc_ids, first_positions) — requires store_positions=True.
-        Works on both position modes (under "full" the first occurrence
-        is each posting's first stored position).  Cached like
-        :meth:`postings` (same decode-dominates argument)."""
-        hit = self._pos_cache.get(term_id)
-        if hit is not None:
-            return hit
-        if self.position_mode == "full":
-            ids, offsets, pos_flat = self.positions_full(term_id)
-            first = pos_flat[offsets[:-1]] if ids.size else pos_flat
-            self._pos_cache.put(term_id, (ids, first))
-            return ids, first
-        st, rows = self._runs(term_id)
-        if not rows:
-            e = np.empty(0, dtype=np.int64)
-            return e, e
-        blobs = st.cells("pos_blob", rows)
-        if any(len(p) == 0 for p in blobs):  # runs always hold df >= 1
-            raise ValueError(
-                "index was built without store_positions=True; phrase "
-                "queries need the position payload"
-            )
-        ids, pos = self._decode(st, rows, "pos_blob")
-        self._pos_cache.put(term_id, (ids, pos))
-        return ids, pos
-
     def positions_full(
         self, term_id: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(doc_ids, offsets, pos_flat) — EVERY occurrence position of the
-        term in this bucket (``position_mode="full"`` indexes only).
+        term in this bucket (``store_positions=True`` indexes only).
         ``pos_flat[offsets[i]:offsets[i+1]]`` is doc ``doc_ids[i]``'s
         ascending position list.  Generations concatenate transparently:
         the delta coding restarts at every posting, so joined blobs
         decode in one pass segmented by the tf array."""
-        if self.position_mode != "full":
+        if not self.positions:
             raise ValueError(
                 "positions_full requires an index built with "
-                "store_positions=True, position_mode='full' (this index "
-                f"is {self.position_mode!r}); use the forward-index "
+                "store_positions=True; use the forward-index "
                 "verification path instead"
             )
         hit = self._posfull_cache.get(term_id)
@@ -576,24 +546,6 @@ class SaltSearcher:
             )
         hits = cand[np.unique(starts[ok] >> self._ORD_SHIFT)]
         return hits[self._allowed_mask(hits, lang, ts_lo, ts_hi)]
-
-    def phrase_and(
-        self, term_ids: list[int], lang=None, ts_lo=None, ts_hi=None
-    ) -> np.ndarray:
-        """Docs where the terms' FIRST positions are consecutive in query
-        order (position-payload phrase matching; exact when each term
-        occurs once per doc)."""
-        parts = [self.postings_pos(t) for t in term_ids]
-        if not parts or any(len(p[0]) == 0 for p in parts):
-            return np.empty(0, dtype=np.int64)
-        base_ids, base_pos = parts[0]
-        ok = np.ones(len(base_ids), dtype=bool)
-        for i, (ids, pos) in enumerate(parts[1:], 1):
-            j = np.searchsorted(ids, base_ids)
-            j = np.clip(j, 0, len(ids) - 1)
-            ok &= (ids[j] == base_ids) & (pos[j] == base_pos + i)
-        cand = base_ids[ok]
-        return cand[self._allowed_mask(cand, lang, ts_lo, ts_hi)]
 
     def _doc_store(self, ids: np.ndarray) -> _DocStore:
         """The resident store, or (``docs=None``) one read for ``ids``."""
