@@ -118,6 +118,15 @@ def test_extend_index_matches_full_rebuild(ray_session, tmp_path):
     m = extend_index(inc_dir, base[2:], cfg)
     assert m["generation"] == 1
     assert m["stats"]["n_docs"] == N_DOCS
+    # the build's stage walls stay; each extend appends its own
+    assert {"prepare_s", "index_s", "dict_s"} <= set(m["metrics"])
+    (ext,) = m["metrics"]["extends"]
+    assert set(ext) == {
+        "generation", "prepare_s", "index_s", "dict_s", "total_s", "docs_per_s"
+    }
+    assert ext["generation"] == 1 and ext["docs_per_s"] > 0
+    assert ext["prepare_s"] + ext["index_s"] + ext["dict_s"] <= ext["total_s"] + 0.01
+    assert m["metrics"]["extend_s"] == ext["total_s"]
 
     full_dir = str(tmp_path / "full")
     build_index(base, full_dir, cfg)
@@ -176,3 +185,52 @@ def test_index_with_retired_config_keys_still_works(ray_session, tmp_path):
     src, dst = QueryEngine(d), QueryEngine(c)
     for q in fixtures.query_set(20, N_DOCS):
         assert src.topk(q["terms"], k=10) == dst.topk(q["terms"], k=10)
+
+
+def test_rerun_after_crashed_extend_with_other_inputs(
+    ray_session, tmp_path, monkeypatch
+):
+    """An extend that dies before its manifest swap leaves generation-tagged
+    dictionary files behind; an extend of DIFFERENT files into the same
+    generation must not reuse them."""
+    from torchtrajectory_ray.pipelines import build
+    from torchtrajectory_ray.state.engine import QueryEngine
+
+    base = fixtures.write_webpages(str(tmp_path / "c"), N_DOCS, num_files=4)
+    cfg = IndexConfig(**CFG)
+    d = str(tmp_path / "i")
+    build_index(base[:2], d, cfg)
+
+    write_json = build._write_json
+
+    def crash_on_manifest(path, obj):
+        if path.endswith("manifest.json"):
+            raise OSError("crash before the manifest swap")
+        write_json(path, obj)
+
+    monkeypatch.setattr(build, "_write_json", crash_on_manifest)
+    with pytest.raises(OSError):
+        build.extend_index(d, base[2:3], cfg)
+    monkeypatch.setattr(build, "_write_json", write_json)
+
+    build.extend_index(d, base[3:], cfg)
+    full = str(tmp_path / "full")
+    build_index(base[:2] + base[3:], full, cfg)
+    assert QueryEngine(d)._df == QueryEngine(full)._df
+
+
+def test_stage_datasets_keep_global_context(ray_session, tmp_path):
+    """The build's per-item datasets switch Ray Data's operator resource
+    reservation off on their own context copy only."""
+    from ray.data import DataContext
+
+    from torchtrajectory_ray.pipelines.build import _items_dataset, extend_index
+
+    before = DataContext.get_current().op_resource_reservation_enabled
+    assert _items_dataset([{"x": 1}]).context.op_resource_reservation_enabled is False
+    base = fixtures.write_webpages(str(tmp_path / "c"), N_DOCS, num_files=3)
+    cfg = IndexConfig(**CFG)
+    d = str(tmp_path / "i")
+    build_index(base[:2], d, cfg)
+    extend_index(d, base[2:], cfg)
+    assert DataContext.get_current().op_resource_reservation_enabled == before

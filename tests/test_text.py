@@ -4,7 +4,6 @@ import numpy as np
 
 from torchtrajectory_ray import fixtures
 from torchtrajectory_ray.functions.text import (
-    doc_term_counts,
     extract_text,
     term_hash,
     tokenize,
@@ -37,16 +36,6 @@ def test_term_hash_stable_and_positive():
     assert term_hash("hello") == term_hash("hello")
     assert term_hash("hello") != term_hash("world")
     assert term_hash("hello") > 0
-
-
-def test_doc_term_counts():
-    terms, tfs, first = doc_term_counts(["b", "a", "b", "c", "b"])
-    m = dict(zip(terms, tfs))
-    assert m == {"a": 1, "b": 3, "c": 1}
-    f = dict(zip(terms, first))
-    assert f == {"a": 1, "b": 0, "c": 3}
-    terms, tfs, _ = doc_term_counts([])
-    assert terms == [] and len(tfs) == 0
 
 
 def test_fixture_determinism():

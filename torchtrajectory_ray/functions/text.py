@@ -16,8 +16,6 @@ from __future__ import annotations
 import hashlib
 import re
 
-import numpy as np
-
 # --- HTML → text extraction -------------------------------------------------
 
 _HEAD = re.compile(rb"<head\b[^>]*>.*?</head\s*>", re.IGNORECASE | re.DOTALL)
@@ -139,21 +137,3 @@ class TermHasher:
             tid = term_hash(term)
             self._cache[term] = tid
         return tid
-
-
-# --- per-doc term counting --------------------------------------------------
-
-
-def doc_term_counts(tokens: list[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """tokens → (unique terms, tf per term, first-position per term).
-
-    Mirrors the reference's per-trajectory index step: for each edge
-    occurrence record (trajId → position), last-write-wins per trajId
-    (EdgeInvertedIndex.java:41-49).  We keep tf (needed for BM25) and the
-    first occurrence position (for phrase/position features).
-    """
-    if not tokens:
-        return [], np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32)
-    arr = np.asarray(tokens, dtype=object)
-    terms, first_idx, counts = np.unique(arr, return_index=True, return_counts=True)
-    return list(terms), counts.astype(np.int32), first_idx.astype(np.int32)

@@ -18,6 +18,13 @@ Output layout under ``out_dir`` (all writes atomic: tmp + rename):
     manifest.json                                 config + lineage + segment
                                                   metas + stage metrics
 
+The build runs two Ray Data pipelines of one map task per item — input
+file → docs shard + partials (stage 1), then segment → segment file
+(stage 3) — and folds the dictionary in the driver from the segments'
+metadata columns (stage 4).  ``extend_index`` runs the same stages over a
+new generation's files only and merges its dictionary fold into the old
+dict shards, so an extend costs the delta, not the index.
+
 A rerun with an existing complete manifest returns immediately; a rerun
 after a partial failure skips finished docs shards and finished segment
 files (per-partition checkpointing — the reference loses everything on
@@ -32,6 +39,9 @@ import os
 import time
 from typing import Any
 
+import numpy as np
+import pyarrow as pa
+import pyarrow.parquet as pq
 import ray.data
 
 from torchtrajectory_ray.config import BM25Params, IndexConfig
@@ -97,63 +107,138 @@ def _write_json(path: str, obj: Any) -> None:
     os.replace(path + ".tmp", path)
 
 
+def _stage_metrics(t0: float, t1: float, t2: float, t3: float, n_docs: int) -> dict:
+    """Walls of a build's or an extend's stages: prepare (fused), index
+    (assembly) and dict, from the monotonic times that bound them."""
+    return {
+        "prepare_s": round(t1 - t0, 3),
+        "index_s": round(t2 - t1, 3),
+        "dict_s": round(t3 - t2, 3),
+        "total_s": round(t3 - t0, 3),
+        "docs_per_s": round(n_docs / (t3 - t0), 1) if t3 > t0 else 0.0,
+    }
+
+
+_DICT_SCHEMA = pa.schema(
+    [("term", pa.string())]
+    + [(c, pa.int64()) for c in ("term_id", "df", "max_tf", "min_dl")]
+)
+
+
+def _fold_dict(tables: list[pa.Table]) -> pa.Table:
+    """Fold dictionary rows (segment metadata columns or earlier dict
+    shards) into one row per term_id, sorted by term_id: ``df`` sums,
+    ``max_tf`` takes the max and ``min_dl`` the min.  ``term`` is the
+    first row's in table order, so the caller's order decides which term
+    a shared (colliding) term_id keeps."""
+    t = pa.concat_tables(
+        [x.select(_DICT_SCHEMA.names).cast(_DICT_SCHEMA) for x in tables]
+    )
+    if t.num_rows == 0:
+        return _DICT_SCHEMA.empty_table()
+    tid = t["term_id"].to_numpy()
+    order = np.argsort(tid, kind="stable")
+    tid = tid[order]
+    heads = np.flatnonzero(np.r_[True, tid[1:] != tid[:-1]])
+
+    def col(name):
+        return t[name].to_numpy()[order]
+
+    return pa.table(
+        [
+            t["term"].take(order[heads]),
+            tid[heads],
+            np.add.reduceat(col("df"), heads),
+            np.maximum.reduceat(col("max_tf"), heads),
+            np.minimum.reduceat(col("min_dl"), heads),
+        ],
+        schema=_DICT_SCHEMA,
+    )
+
+
+def _terms_differ(old: pa.Table, new: pa.Table) -> bool:
+    """True when a term_id in both folds names a different term (a 63-bit
+    hash collision between the two sides)."""
+    _, i, j = np.intersect1d(
+        old["term_id"].to_numpy(),
+        new["term_id"].to_numpy(),
+        assume_unique=True,
+        return_indices=True,
+    )
+    return not old["term"].take(i).equals(new["term"].take(j))
+
+
 def _build_dictionary(
-    dict_dir: str, seg_rows: list[dict], cfg: IndexConfig, tag: str = ""
+    dict_dir: str,
+    seg_rows: list[dict],
+    cfg: IndexConfig,
+    tag: str = "",
+    prev_paths: list[str] = (),
+    prev_rows: list[dict] = (),
 ) -> list[str]:
-    tag = f"{tag}-{config_tag(cfg)}"
-    """Per-term-shard dictionary build over the given segment files
-    (possibly spanning generations); partition-local, one task per shard.
+    """Per-term-shard dictionary over the segment files ``seg_rows``,
+    folded in the driver from their metadata columns (parquet column
+    pruning keeps the blobs on disk).  A term's runs all live inside ONE
+    term shard, so each shard folds alone.  Returns the dict paths in
+    shard order.
+
+    An extend passes ``prev_paths`` (the dict shards it replaces) and
+    ``prev_rows`` (the segments those shards were folded over), and
+    ``seg_rows`` holds only the new generation: each new fold merges into
+    its old shard, and a shard without new segments carries over as is.
+    Where two terms share a term_id, the term kept is the first in sorted
+    segment-path order (``gen-NNN/`` before the base ``seg-…``), which a
+    merge cannot tell apart from the old shard alone — so when the old
+    and new terms of a term_id differ, that shard re-folds over all its
+    segments instead.
+
     ``tag`` versions the file names so an extend writes a NEW dictionary
     generation and the manifest swap stays atomic (stale files are
-    harmless garbage)."""
-    seg_by_shard: dict[int, list[str]] = {}
-    for r in seg_rows:
-        seg_by_shard.setdefault(int(r["segment"]) // cfg.num_salts, []).append(
-            r["path"]
+    harmless garbage); a file already present is a finished checkpoint."""
+    tag = f"{tag}-{config_tag(cfg)}"
+    prev = {int(os.path.basename(p)[len("dict-") :][:5]): p for p in prev_paths}
+
+    def by_shard(rows) -> dict[int, list[str]]:
+        out: dict[int, list[str]] = {}
+        for r in rows:
+            out.setdefault(int(r["segment"]) // cfg.num_salts, []).append(r["path"])
+        return out
+
+    def fold(paths) -> pa.Table:
+        return _fold_dict(
+            [pq.read_table(p, columns=_DICT_SCHEMA.names) for p in sorted(paths)]
         )
-    shard_items = [
-        {"shard": s, "paths": json.dumps(sorted(ps))}
-        for s, ps in sorted(seg_by_shard.items())
-    ]
 
-    def build_dict_shard(batch):
-        import pandas as pd  # noqa: F401
-        import pyarrow as pa
-        import pyarrow.parquet as pq
+    new = by_shard(seg_rows)
+    out = []
+    for shard in sorted(set(new) | set(prev)):
+        if shard not in new:
+            out.append(prev[shard])
+            continue
+        path = os.path.join(dict_dir, f"dict-{shard:05d}{tag}.parquet")
+        if not os.path.exists(path):
+            d = fold(new[shard])
+            if shard in prev:
+                old = pq.read_table(prev[shard], columns=_DICT_SCHEMA.names)
+                if _terms_differ(old, d):
+                    d = fold(by_shard(prev_rows).get(shard, []) + new[shard])
+                else:
+                    d = _fold_dict([old, d])
+            pq.write_table(d, path + ".tmp")
+            os.replace(path + ".tmp", path)
+        out.append(path)
+    return out
 
-        out = []  # tag is closed over; rebuilt files skip if present
-        for shard, paths_json in zip(
-            batch["shard"].to_pylist(), batch["paths"].to_pylist()
-        ):
-            path = os.path.join(dict_dir, f"dict-{shard:05d}{tag}.parquet")
-            if not os.path.exists(path):
-                parts = [
-                    pq.read_table(
-                        p, columns=["term_id", "term", "df", "max_tf", "min_dl"]
-                    )
-                    for p in json.loads(paths_json)
-                ]
-                df = (
-                    pa.concat_tables(parts)
-                    .to_pandas()
-                    .groupby("term_id", sort=True)
-                    .agg(term=("term", "first"), df=("df", "sum"),
-                         max_tf=("max_tf", "max"), min_dl=("min_dl", "min"))
-                    .reset_index()[["term", "term_id", "df", "max_tf", "min_dl"]]
-                )
-                pq.write_table(
-                    pa.Table.from_pandas(df, preserve_index=False), path + ".tmp"
-                )
-                os.replace(path + ".tmp", path)
-            out.append({"shard": shard, "path": path})
-        return pa.Table.from_pylist(out)
 
-    dict_rows = (
-        ray.data.from_items(shard_items)
-        .map_batches(build_dict_shard, batch_size=1, batch_format="pyarrow")
-        .take_all()
-    )
-    return sorted(r["path"] for r in dict_rows)
+def _items_dataset(items: list[dict]) -> ray.data.Dataset:
+    """One row per item for a single-map-operator pipeline whose rows are
+    file descriptors.  Ray Data's per-operator resource reservation has
+    no other operator to protect there and would run the map tasks one at
+    a time on a small cluster, so it is switched off on this dataset's
+    own context copy (never on the global ``DataContext``)."""
+    ds = ray.data.from_items(items)
+    ds.context.op_resource_reservation_enabled = False
+    return ds
 
 
 def _fused_stage(
@@ -171,7 +256,7 @@ def _fused_stage(
         return FusedShardTask(docs_dir, partials_dir, cfg, shift)(batch)
 
     return (
-        ray.data.from_items(file_items)
+        _items_dataset(file_items)
         .map_batches(fused, batch_size=1, batch_format="pyarrow")
         .take_all()
     )
@@ -203,7 +288,7 @@ def _assemble_stage(
         return pa.Table.from_pylist(out)
 
     return (
-        ray.data.from_items([{"segment": s} for s in range(cfg.num_segments)])
+        _items_dataset([{"segment": s} for s in range(cfg.num_segments)])
         .map_batches(assemble, batch_size=1, batch_format="pyarrow")
         .take_all()
     )
@@ -305,10 +390,10 @@ def build_index(
 
     # --- stage 4: per-term-shard dictionaries (df summed across salt
     # runs).  A term's runs all live inside ONE term shard, so this is
-    # partition-local — no second all-to-all: one task per shard reads the
-    # metadata columns of its own segment files (parquet column pruning
-    # keeps the blobs on disk) and aggregates.  Analog of the id lookup
-    # tables the reference writes (TorSaver.java:116-141).
+    # partition-local — no second all-to-all: the driver reads the
+    # metadata columns of each shard's segment files (parquet column
+    # pruning keeps the blobs on disk) and folds them.  Analog of the id
+    # lookup tables the reference writes (TorSaver.java:116-141).
     dict_paths = _build_dictionary(dict_dir, seg_rows, cfg, tag=f"-{inputs_fp}")
     t3 = time.monotonic()
 
@@ -329,13 +414,7 @@ def build_index(
             manifest_relpath(r["output"], out_dir) for r in lineage
         ),
         "dict_paths": [manifest_relpath(p, out_dir) for p in dict_paths],
-        "metrics": {
-            "prepare_s": round(t1 - t0, 3),
-            "index_s": round(t2 - t1, 3),
-            "dict_s": round(t3 - t2, 3),
-            "total_s": round(t3 - t0, 3),
-            "docs_per_s": round(n_docs / (t3 - t0), 1) if t3 > t0 else 0.0,
-        },
+        "metrics": _stage_metrics(t0, t1, t2, t3, n_docs),
     }
     _write_json(manifest_path, manifest)
     return manifest
@@ -359,8 +438,10 @@ def extend_index(
     - old segments stay valid because block bounds are stored as
       (max_tf, min_dl) — avgdl/df-independent — and all scoring uses the
       UPDATED global stats at query time;
-    - the dictionary shards are rebuilt over old + new segments (df sums
-      across generations).
+    - the dictionary is merged, not rebuilt: only the new generation's
+      segment metadata is read and folded into the old dict shards (df
+      sums, max_tf takes the max, min_dl the min), so the dictionary step
+      costs the delta, not the index (see :func:`_build_dictionary`).
 
     Query results equal a fresh full build over the union of inputs
     (doc ids and postings identical; only file layout differs) — tested.
@@ -413,10 +494,27 @@ def extend_index(
         {"path": p, "doc_id_base": (n_prev + i) << 34}
         for i, p in enumerate(new_sorted)
     ]
+    new_fp = inputs_fingerprint(new_sorted)
     lineage = _fused_stage(file_items, docs_dir, partials_dir, cfg, shift)
-    seg_rows = _assemble_stage(
-        lineage, seg_dir, cfg, shift, inputs_fingerprint(new_sorted)
+    t1 = time.monotonic()
+    seg_rows = _assemble_stage(lineage, seg_dir, cfg, shift, new_fp)
+    t2 = time.monotonic()
+
+    # merge the new generation's segments into the dictionary shards,
+    # written to generation-tagged files; the manifest swap makes it
+    # atomic (a crash here leaves the old dictionary valid)
+    dict_paths = _build_dictionary(
+        os.path.join(out_dir, "dict"),
+        seg_rows,
+        cfg,
+        tag=f"-g{gen:03d}-{new_fp}",
+        prev_paths=[manifest_abspath(p, out_dir) for p in manifest["dict_paths"]],
+        prev_rows=[
+            {**r, "path": manifest_abspath(r["path"], out_dir)}
+            for r in manifest["segments"]
+        ],
     )
+    t3 = time.monotonic()
 
     # merged stats + manifest (paths stored relative to out_dir)
     for r in seg_rows:
@@ -426,7 +524,8 @@ def extend_index(
     manifest["docs_paths"] = sorted(manifest["docs_paths"]) + sorted(
         manifest_relpath(r["output"], out_dir) for r in lineage
     )
-    n_docs = manifest["stats"]["n_docs"] + sum(r["n_docs"] for r in lineage)
+    n_new = sum(r["n_docs"] for r in lineage)
+    n_docs = manifest["stats"]["n_docs"] + n_new
     sum_doclen = manifest["stats"]["sum_doclen"] + sum(
         r["sum_doclen"] for r in lineage
     )
@@ -443,25 +542,12 @@ def extend_index(
     manifest["generation"] = gen
     manifest["n_input_files"] = n_prev + len(file_items)
     _write_json(os.path.join(out_dir, "stats.json"), manifest["stats"])
-
-    # rebuild dictionary shards over ALL generations' segments into
-    # generation-tagged files; the manifest swap makes it atomic (a crash
-    # here leaves the old dictionary valid)
-    dict_dir = os.path.join(out_dir, "dict")
-    manifest["dict_paths"] = [
-        manifest_relpath(p, out_dir)
-        for p in _build_dictionary(
-            dict_dir,
-            [
-                {**r, "path": manifest_abspath(r["path"], out_dir)}
-                for r in manifest["segments"]
-            ],
-            cfg,
-            tag=f"-g{gen:03d}",
-        )
-    ]
+    manifest["dict_paths"] = [manifest_relpath(p, out_dir) for p in dict_paths]
     manifest["extensions"] = extensions + [new_sorted]
-    manifest["metrics"]["extend_s"] = round(time.monotonic() - t0, 3)
+    ext = {"generation": gen, **_stage_metrics(t0, t1, t2, t3, n_new)}
+    metrics = manifest["metrics"]
+    metrics["extends"] = metrics.get("extends", []) + [ext]
+    metrics["extend_s"] = ext["total_s"]
     _write_json(manifest_path, manifest)
     return manifest
 
@@ -509,8 +595,6 @@ def delete_docs(index_dir: str, doc_ids) -> dict:
     an error); re-deleting an already-tombstoned id is idempotent.
     Writes are atomic (tmp + rename), so a crashed delete never leaves a
     half-written tombstone set."""
-    import numpy as np
-    import pyarrow as pa
     import pyarrow.dataset as pads
 
     ids = np.unique(np.asarray(list(doc_ids), dtype=np.int64))
@@ -571,8 +655,6 @@ def _stage_source_inputs(
     (one distributed task per shard) so the rebuild recomputes
     N/avgdl/df over only the live docs.  Shared by ``compact_index``
     (one source) and ``merge_indexes`` (many)."""
-    import numpy as np
-
     docs_paths = [manifest_abspath(p, index_dir) for p in manifest["docs_paths"]]
     tomb_path = os.path.join(index_dir, "tombstones.json")
     deleted = None
@@ -599,44 +681,32 @@ def _stage_source_inputs(
     # the purge: rewrite each docs shard without its tombstoned rows
     # (one distributed task per shard — the merge that makes soft
     # deletes physical)
-    import pandas as pd
-    import ray.data
-
     shards = [
         {"i": i, "src": os.path.abspath(p)} for i, p in enumerate(docs_paths)
     ]
 
-    def purge_shard(batch: "pd.DataFrame") -> "pd.DataFrame":
-        import pandas as _pd
-        import pyarrow as _pa
-        import pyarrow.parquet as _pq
-
+    def purge_shard(batch: pa.Table) -> pa.Table:
         rows = []
-        for i, src in zip(batch["i"], batch["src"]):
-            t = _pq.read_table(src)
-            keep = ~np.isin(
-                t["doc_id"].to_numpy().astype(np.int64), deleted
-            )
-            dst = os.path.join(
-                link_dir, f"{prefix}{int(i):05d}-{os.path.basename(src)}"
-            )
+        for i, src in zip(batch["i"].to_pylist(), batch["src"].to_pylist()):
+            t = pq.read_table(src)
+            keep = ~np.isin(t["doc_id"].to_numpy().astype(np.int64), deleted)
+            dst = os.path.join(link_dir, f"{prefix}{i:05d}-{os.path.basename(src)}")
             # a prior tombstone-free stage left dst as a SYMLINK to the
             # source shard — writing through it would corrupt the source
             # index; unlink first, then write atomically
             if os.path.lexists(dst):
                 os.remove(dst)
-            _pq.write_table(t.filter(_pa.array(keep)), dst + ".tmp")
+            pq.write_table(t.filter(pa.array(keep)), dst + ".tmp")
             os.replace(dst + ".tmp", dst)
-            rows.append({"dst": dst, "n_kept": int(keep.sum())})
-        return _pd.DataFrame(rows)
+            rows.append({"dst": dst})
+        return pa.Table.from_pylist(rows)
 
     out = (
-        ray.data.from_pandas(pd.DataFrame(shards))
-        .repartition(max(1, min(len(shards), 32)))
-        .map_batches(purge_shard, batch_format="pandas")
-        .to_pandas()
+        _items_dataset(shards)
+        .map_batches(purge_shard, batch_size=1, batch_format="pyarrow")
+        .take_all()
     )
-    return sorted(out["dst"].tolist())
+    return sorted(r["dst"] for r in out)
 
 
 def merge_indexes(
