@@ -72,9 +72,10 @@ def main() -> None:
         return r
 
     eng = timed("engine_open", lambda: QueryEngine(idx_dir))
-    out["n_dict_terms"] = len(eng._terms)
+    terms = eng.term_dict.term.to_pylist()  # term_id order
+    out["n_dict_terms"] = len(terms)
 
-    probes = [eng._terms[0], eng._terms[9] + "x", eng._terms[20][:-1], "qqqq"]
+    probes = [terms[0], terms[9] + "x", terms[20][:-1], "qqqq"]
     hits = timed(
         "fuzzy_10probes",
         lambda: [eng.fuzzy_terms(p) for p in probes + probes[:2] * 3],
@@ -84,10 +85,8 @@ def main() -> None:
     # stopword-grade OR: the most frequent dictionary terms
     import numpy as np
 
-    from torchtrajectory_ray.functions.text import term_hash
-
-    dfs = np.asarray([eng._df[term_hash(t)] for t in eng._terms])
-    hot = [eng._terms[i] for i in np.argsort(dfs)[-2:]]
+    dfs = eng.term_dict.df  # aligned with terms
+    hot = [terms[i] for i in np.argsort(dfs)[-2:]]
     ids = eng.bool_or(hot)
     out["facet_candidates"] = int(len(ids))
     f = timed("facet_hot", lambda: eng.facet_counts(hot, facet_col="lang"))
@@ -131,7 +130,7 @@ def main() -> None:
     # autocomplete over the full 1M-doc dictionary
     timed(
         "suggest_100probes",
-        lambda: [eng.suggest(eng._terms[i][:2], n=10) for i in range(100)],
+        lambda: [eng.suggest(terms[i][:2], n=10) for i in range(100)],
     )
     # explain over the boosted top doc
     top_doc = eng.topk(hot, k=1)[0][0]
@@ -209,7 +208,7 @@ def main() -> None:
     # streamed over the whole corpus in one pass (the tagging regime)
     from torchtrajectory_ray.pipelines.percolate import percolate_ds
 
-    mid = [eng._terms[len(eng._terms) // 2], eng._terms[len(eng._terms) // 3]]
+    mid = [terms[len(terms) // 2], terms[len(terms) // 3]]
     perc_q = [
         {"query_id": 0, "q": f"+{hot[0]} +{hot[1]}"},
         {"query_id": 1, "q": f"+{hot[0]} -{mid[0]}"},
@@ -273,7 +272,7 @@ def main() -> None:
     )
     lazy_top = timed("topk_hot_lazy", lambda: eng_lazy.topk(hot, k=10))
     assert lazy_top == eng.topk(hot, k=10), "lazy != memory serving"
-    rare = eng._terms[int(np.argmin(dfs))]
+    rare = terms[int(np.argmin(dfs))]
     timed("topk_rare_lazy", lambda: eng_lazy.topk([rare], k=10))
     timed("topk_rare_lazy_warm", lambda: eng_lazy.topk([rare], k=10))
 

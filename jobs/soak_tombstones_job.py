@@ -55,7 +55,6 @@ def main() -> None:
 
     from jobs.soak_clean_job import build_corpus
     from torchtrajectory_ray.config import IndexConfig
-    from torchtrajectory_ray.functions.text import term_hash
     from torchtrajectory_ray.pipelines.build import compact_index, delete_docs
     from torchtrajectory_ray.pipelines.build import build_index
     from torchtrajectory_ray.state.engine import QueryEngine
@@ -87,8 +86,7 @@ def main() -> None:
 
     try:
         eng0 = QueryEngine(idx_dir)
-        dfs = np.asarray([eng0._df[term_hash(t)] for t in eng0._terms])
-        hot = [eng0._terms[i] for i in np.argsort(dfs)[-4:]]
+        hot = eng0.term_dict.term.take(np.argsort(eng0.term_dict.df)[-4:]).to_pylist()
         queries = [hot[:2], hot[2:], [hot[0], hot[3]]]
 
         def run_queries(eng):

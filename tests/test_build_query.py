@@ -81,9 +81,9 @@ def test_dictionary_df(built):
     eng = QueryEngine(out_dir)
     from torchtrajectory_ray.functions.text import term_hash
 
-    assert len(eng._df) == len(orc.postings)
+    assert len(eng.term_dict.ids) == len(orc.postings)
     for term in ["w0000", "w0100", "needle_unique"]:
-        assert eng._df[term_hash(term)] == len(orc.postings[term])
+        assert eng.term_dict.df_of([term_hash(term)])[0] == len(orc.postings[term])
 
 
 @pytest.mark.parametrize("method", ["exhaustive", "wand"])

@@ -176,7 +176,7 @@ def test_engine_scans_match_naive_on_gate_index(ray_session):
     # prefix bisect == naive startswith scan (suggest builds on this)
     for prefix in ("sp", "a", "zzz", ""):
         assert eng.prefix_terms(prefix) == sorted(
-            t for t in eng._terms if t.startswith(prefix)
+            t for t in eng.term_dict.term.to_pylist() if t.startswith(prefix)
         ), prefix
 
 
@@ -234,10 +234,11 @@ def test_engine_fuzzy_pruned_matches_naive(ray_session):
     eng = _engine(documents_index(SF))
     # gate-index terms are short (w0000-style, len 5) — plant a long
     # probe by checking both branches behave identically on the API
-    long_terms = [t for t in eng._terms if len(t) >= 6]
+    vocab = eng.term_dict.term.to_pylist()
+    long_terms = [t for t in vocab if len(t) >= 6]
     probe = long_terms[0] if long_terms else "w0000x"
     got = eng.fuzzy_terms(probe)
-    naive = sorted(t for t in eng._terms if _edit1(probe, t))
+    naive = sorted(t for t in vocab if _edit1(probe, t))
     assert got["term"].tolist() == naive
 
 
@@ -266,7 +267,7 @@ def test_parallel_build_identical_to_inprocess(ray_session):
     )
     a = DictScanIndex(vocab, parallel=False)
     b = DictScanIndex(vocab, parallel=True)
-    assert a.terms == b.terms
+    assert a.terms_arr.tolist() == b.terms_arr.tolist()
     assert set(a._post) == set(b._post)
     for g in a._post:
         assert np.array_equal(a._post[g], b._post[g]), g

@@ -154,9 +154,7 @@ def test_suggest_ranks_by_df_then_term(built):
     s = eng.suggest("w", n=10)
     # brute-force expectation from the dictionary scan itself
     terms = eng.prefix_terms("w")
-    df = {t: eng._df[__import__(
-        "torchtrajectory_ray.functions.text", fromlist=["term_hash"]
-    ).term_hash(t)] for t in terms}
+    df = dict(zip(terms, eng.term_dict.lookup(terms)[1]))
     expect = sorted(terms, key=lambda t: (-df[t], t))[:10]
     assert s["term"].tolist() == expect
     assert s["df"].tolist() == [df[t] for t in expect]
@@ -498,19 +496,19 @@ def test_fuzzy_terms_matches_bruteforce_levenshtein(built):
     from torchtrajectory_ray.functions.text import term_hash
 
     eng = QueryEngine(built)
-    vocab = eng._terms
+    vocab = eng.term_dict.term.to_pylist()
     probes = [vocab[0], vocab[7] + "x", vocab[11][:-1], "zz_nothing_zz"]
     for p in probes:
         got = eng.fuzzy_terms(p)
         exp = sorted(t for t in vocab if levenshtein_ref(p, t) <= 1)
         assert got["term"].tolist() == exp, p
         for t, df in zip(got["term"], got["df"]):
-            assert df == eng._df[term_hash(t)]
+            assert df == eng.term_dict.df_of([term_hash(t)])[0]
 
 
 def test_fuzzy_or_unions_variant_postings(built):
     eng = QueryEngine(built)
-    probe = eng._terms[3]
+    probe = eng.term_dict.term[3].as_py()
     variants = eng.fuzzy_terms(probe)["term"].tolist()
     assert probe in variants  # distance 0 included
     got = eng.fuzzy_or(probe)

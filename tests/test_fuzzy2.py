@@ -102,13 +102,14 @@ def test_engine_fuzzy2_matches_bruteforce(ray_session):
 
     eng = _engine(documents_index("/root/testdata/sf0.001"))
     probes = ["w0000", "w000", "w00000x", "zzz"]
-    long_terms = [t for t in eng._terms if len(t) >= 9]
+    vocab = eng.term_dict.term.to_pylist()
+    long_terms = [t for t in vocab if len(t) >= 9]
     if long_terms:
         probes.append(long_terms[0])
     for probe in probes:
         got = eng.fuzzy_terms(probe, max_edits=2)
         naive = sorted(
-            t for t in eng._terms if levenshtein_ref(probe, t) <= 2
+            t for t in vocab if levenshtein_ref(probe, t) <= 2
         )
         assert got["term"].tolist() == naive, probe
         # distance-2 result is a superset of distance-1

@@ -168,7 +168,7 @@ def test_maxscore_negative_weights_score_everything(ray_session, tmp_path):
     build_index(paths, idx, IndexConfig(num_term_shards=2, num_salts=1))
     eng = QueryEngine(idx)
     eng.update(n_docs=50)
-    assert max(eng._df.values()) > 50
+    assert eng.term_dict.df.max() > 50
     queries = [q["terms"] for q in fixtures.query_set(40, 1500)]
     queries += [["w0000", "w0001"], ["w0000", "w0003", "w0040"]]
     for terms in queries:

@@ -101,8 +101,10 @@ def test_alternate_tokenizer_through_full_build(ray_session, tmp_path):
 
     ws, default = QueryEngine(d_ws), QueryEngine(d_def)
     # dictionary reflects the mapper: punctuation survives under ws only
-    assert "world!" in ws._terms and "hello," in ws._terms
-    assert "world!" not in default._terms and "world" in default._terms
+    ws_terms = set(ws.term_dict.term.to_pylist())
+    def_terms = set(default.term_dict.term.to_pylist())
+    assert "world!" in ws_terms and "hello," in ws_terms
+    assert "world!" not in def_terms and "world" in def_terms
     # query prep follows the BUILD's tokenizer: a raw string query hits
     # the matching dictionary entries in each engine
     assert ws.bool_or("Hello, world!").tolist() == [1]

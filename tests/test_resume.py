@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 from torchtrajectory_ray import fixtures
@@ -19,6 +20,16 @@ from torchtrajectory_ray.config import IndexConfig
 from torchtrajectory_ray.pipelines.build import build_index
 
 N_DOCS = 200
+
+
+def _same_dictionary(a, b) -> bool:
+    """Equal term_id / df arrays and equal term columns."""
+    return (
+        np.array_equal(a.term_dict.ids, b.term_dict.ids)
+        and np.array_equal(a.term_dict.df, b.term_dict.df)
+        and a.term_dict.term.equals(b.term_dict.term)
+    )
+
 CFG = dict(num_term_shards=2, num_salts=2, block_size=16,
            tokenize_batch_size=50)
 
@@ -132,7 +143,7 @@ def test_extend_index_matches_full_rebuild(ray_session, tmp_path):
     build_index(base, full_dir, cfg)
 
     inc, full = QueryEngine(inc_dir), QueryEngine(full_dir)
-    assert inc._df == full._df                      # dictionary identical
+    assert _same_dictionary(inc, full)              # dictionary identical
     for q in fixtures.query_set(20, N_DOCS):
         assert inc.topk(q["terms"], k=10) == full.topk(q["terms"], k=10)
         assert inc.bool_and(q["terms"]).tolist() == full.bool_and(q["terms"]).tolist()
@@ -216,7 +227,7 @@ def test_rerun_after_crashed_extend_with_other_inputs(
     build.extend_index(d, base[3:], cfg)
     full = str(tmp_path / "full")
     build_index(base[:2] + base[3:], full, cfg)
-    assert QueryEngine(d)._df == QueryEngine(full)._df
+    assert _same_dictionary(QueryEngine(d), QueryEngine(full))
 
 
 def test_stage_datasets_keep_global_context(ray_session, tmp_path):

@@ -240,7 +240,10 @@ def test_compact_index_rank_identical_and_rebalanced(ray_session, tmp_path):
     assert all("gen-" not in s["path"] for s in m["segments"])
 
     a, b = QueryEngine(src), QueryEngine(dst)
-    assert a._df == b._df  # identical dictionary (same corpus, same ids)
+    # identical dictionary (same corpus, same ids)
+    assert np.array_equal(a.term_dict.ids, b.term_dict.ids)
+    assert np.array_equal(a.term_dict.df, b.term_dict.df)
+    assert a.term_dict.term.equals(b.term_dict.term)
     for q in fixtures.query_set(15, N):
         assert a.topk(q["terms"], k=10) == b.topk(q["terms"], k=10)
         assert a.bool_and(q["terms"]).tolist() == b.bool_and(q["terms"]).tolist()

@@ -126,7 +126,7 @@ def test_purge_equals_fresh_build_on_filtered_corpus(ray_session, tmp_path):
     ep, ef = QueryEngine(purged), QueryEngine(fresh)
     assert ep.n_docs == ef.n_docs
     assert abs(ep.avgdl - ef.avgdl) < 1e-9
-    terms_pool = sorted(ep._terms)[:8]
+    terms_pool = sorted(ep.term_dict.term.to_pylist())[:8]
     for t_ in terms_pool:
         got = [(int(d), round(float(s), 9)) for d, s in ep.topk([t_], k=20)]
         # fresh build re-assigns dense ids over the FILTERED shards, so

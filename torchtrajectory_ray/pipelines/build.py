@@ -125,6 +125,20 @@ _DICT_SCHEMA = pa.schema(
 )
 
 
+def read_dictionary(
+    manifest: dict, index_dir: str, *, missing_ok: bool = False
+) -> pa.Table:
+    """The index's term dictionary: its dict shards concatenated in
+    manifest order (each sorted by term_id; the shards interleave), empty
+    for an empty corpus.  ``missing_ok`` skips a shard not on disk."""
+    paths = [manifest_abspath(p, index_dir) for p in manifest["dict_paths"]]
+    if missing_ok:
+        paths = [p for p in paths if os.path.exists(p)]
+    names = _DICT_SCHEMA.names
+    parts = [pq.read_table(p, columns=names).cast(_DICT_SCHEMA) for p in paths]
+    return pa.concat_tables([_DICT_SCHEMA.empty_table(), *parts])
+
+
 def _fold_dict(tables: list[pa.Table]) -> pa.Table:
     """Fold dictionary rows (segment metadata columns or earlier dict
     shards) into one row per term_id, sorted by term_id: ``df`` sums,
@@ -262,6 +276,15 @@ def _fused_stage(
     )
 
 
+# a segment's manifest row (SegmentWriter's meta); an empty segment
+# yields no row but the same schema, so every block of the stage agrees
+_SEGMENT_ROW_SCHEMA = pa.schema(
+    [("segment", pa.int64()), ("path", pa.string()), ("cfg_tag", pa.string())]
+    + [(c, pa.int64()) for c in ("n_terms", "n_runs", "n_postings", "bytes")]
+    + [("wall_s", pa.float64()), ("skipped", pa.bool_())]
+)
+
+
 def _assemble_stage(
     lineage: list[dict],
     seg_dir: str,
@@ -278,14 +301,12 @@ def _assemble_stage(
     writer = SegmentWriter(seg_dir, cfg, shift, extra_tag=inputs_fp)
 
     def assemble(batch):
-        import pyarrow as pa
-
         out = []
         for s in batch["segment"].to_pylist():
             t = assemble_segment(int(s), partial_paths, writer)
             if t is not None:
                 out.extend(t.to_pylist())
-        return pa.Table.from_pylist(out)
+        return pa.Table.from_pylist(out, schema=_SEGMENT_ROW_SCHEMA)
 
     return (
         _items_dataset([{"segment": s} for s in range(cfg.num_segments)])
@@ -443,18 +464,21 @@ def extend_index(
       sums, max_tf takes the max, min_dl the min), so the dictionary step
       costs the delta, not the index (see :func:`_build_dictionary`).
 
+    ``cfg=None`` extends with the index's own config (its manifest's);
+    a given ``cfg`` must equal it.
+
     Query results equal a fresh full build over the union of inputs
     (doc ids and postings identical; only file layout differs) — tested.
     """
-    cfg = cfg or IndexConfig()
+    manifest_path = os.path.join(out_dir, "manifest.json")
+    with open(manifest_path) as f:
+        manifest = json.load(f)
+    cfg = cfg or config_from_manifest(manifest)
     if cfg.doc_id_mode != "dense":
         raise ValueError(
             "extend_index requires doc_id_mode='dense' (appended runs must "
             "stay doc_id-sorted after concatenation with older generations)"
         )
-    manifest_path = os.path.join(out_dir, "manifest.json")
-    with open(manifest_path) as f:
-        manifest = json.load(f)
     if first_positions(manifest):
         raise ValueError(
             f"{out_dir} stores one position per posting (the retired "

@@ -174,6 +174,7 @@ def check_index(index_dir: str, *, distributed: bool = True) -> dict:
     from torchtrajectory_ray.pipelines.build import (
         first_positions,
         manifest_abspath,
+        read_dictionary,
     )
 
     with open(os.path.join(index_dir, "manifest.json")) as f:
@@ -228,31 +229,22 @@ def check_index(index_dir: str, *, distributed: bool = True) -> dict:
                 cur[1] = max(cur[1], int(mt))
                 cur[2] = min(cur[2], int(md))
 
-    # dictionary cross-check (term by term — a term lives in one shard)
-    import pyarrow as pa
-
-    dict_tbls = [
-        pq.read_table(manifest_abspath(p, index_dir))
-        for p in manifest["dict_paths"]
-        if os.path.exists(manifest_abspath(p, index_dir))
-    ]
-    d = pa.concat_tables(dict_tbls).to_pandas() if dict_tbls else pd.DataFrame(
-        columns=["term", "term_id", "df", "max_tf", "min_dl"]
-    )
-    dict_ids = set(int(t) for t in d["term_id"])
+    # dictionary cross-check (term by term — a term lives in one shard);
+    # a missing dict shard is already reported by the path check
+    d = read_dictionary(manifest, index_dir, missing_ok=True).to_pydict()
+    dict_ids = set(d["term_id"])
     seg_ids = set(fold)
     for tid in sorted(seg_ids - dict_ids)[:20]:
         violations.append(f"term_id={tid} has postings but no dictionary row")
     for tid in sorted(dict_ids - seg_ids)[:20]:
         violations.append(f"dictionary term_id={tid} has no postings")
-    for _, row in d.iterrows():
-        got = fold.get(int(row["term_id"]))
-        if got is None:
-            continue
-        want = [int(row["df"]), int(row["max_tf"]), int(row["min_dl"])]
-        if got != want:
+    for term, tid, *want in zip(
+        d["term"], d["term_id"], d["df"], d["max_tf"], d["min_dl"]
+    ):
+        got = fold.get(tid)
+        if got is not None and got != want:
             violations.append(
-                f"dictionary disagrees for term={row['term']!r}: "
+                f"dictionary disagrees for term={term!r}: "
                 f"dict (df,max_tf,min_dl)={want} segments={got}"
             )
 

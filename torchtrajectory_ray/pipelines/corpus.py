@@ -273,22 +273,16 @@ def _engine(idx: str, **kw) -> QueryEngine:
 
 def term_df(sf_dir: str) -> pd.DataFrame:
     """term, df — straight from the built term dictionary (validates the
-    groupby-aggregate dictionary path against SQL)."""
-    import pyarrow.parquet as pq
-
+    dictionary fold against SQL)."""
     idx = documents_index(sf_dir)
     import json
 
-    from torchtrajectory_ray.pipelines.build import manifest_abspath
+    from torchtrajectory_ray.pipelines.build import read_dictionary
 
     with open(os.path.join(idx, "manifest.json")) as f:
         manifest = json.load(f)
-    parts = [
-        pq.read_table(manifest_abspath(p, idx), columns=["term", "df"])
-        for p in manifest["dict_paths"]
-    ]
-    d = pa.concat_tables(parts).to_pandas()
-    return d.sort_values("term").reset_index(drop=True)[["term", "df"]]
+    d = read_dictionary(manifest, idx).select(["term", "df"]).to_pandas()
+    return d.sort_values("term").reset_index(drop=True)
 
 
 def postings_flat(sf_dir: str) -> ray.data.Dataset:

@@ -27,9 +27,7 @@ Requires globally unique doc ids across member indexes (same rule as
 
 from __future__ import annotations
 
-import heapq
-
-from torchtrajectory_ray.state.engine import QueryEngine
+from torchtrajectory_ray.state.engine import QueryEngine, _merge_topk
 
 
 class FederatedEngine:
@@ -60,17 +58,12 @@ class FederatedEngine:
     def _global_resolve(self, terms: list[str]) -> tuple[list[int], list[float]]:
         """Unique known term ids + idf under the GLOBAL df — a term's df
         is the sum of its member dfs (dictionary probes only)."""
-        from torchtrajectory_ray.functions.text import term_hash
-
-        tids, idfs = [], []
+        tids, _ = self.engines[0].term_dict.lookup(sorted(set(terms)))
+        dfs = sum(e.term_dict.df_of(tids) for e in self.engines).tolist()
         scorer = self.engines[0].scorer
-        for t in sorted(set(terms)):
-            tid = term_hash(t)
-            df = sum(int(e._df.get(tid, 0)) for e in self.engines)
-            if df:
-                tids.append(tid)
-                idfs.append(float(scorer.idf(df, self.n_docs)))
-        return tids, idfs
+        return [t for t, df in zip(tids, dfs) if df], [
+            float(scorer.idf(df, self.n_docs)) for df in dfs if df
+        ]
 
     def topk(
         self,
@@ -93,15 +86,7 @@ class FederatedEngine:
             parts.extend(
                 e._fanout("topk", tids, idfs, k, method, lang, ts_lo, ts_hi)
             )
-        merged = heapq.nlargest(
-            k,
-            (
-                (float(s), -int(d))
-                for ids, scores in parts
-                for d, s in zip(ids, scores)
-            ),
-        )
-        return [(-nd, s) for s, nd in merged]
+        return _merge_topk(parts, k)
 
     def resolve(self, doc_ids):
         """Hydrate across members (ids are globally unique, so the

@@ -1,4 +1,6 @@
-"""Trigram + sorted-prefix acceleration for dictionary scans.
+"""The engine's columnar term dictionary (``TermDict``, in term_id
+order) and ``DictScanIndex``, its term-sorted view with trigram +
+sorted-prefix acceleration for dictionary scans.
 
 ``QueryEngine.regex_terms`` / ``wildcard_terms`` / ``prefix_terms`` are
 the reference's name→ids dictionary lookups (Torch/base/db/
@@ -40,8 +42,50 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+
+from torchtrajectory_ray.functions.text import term_hash
+
+
+class TermDict:
+    """The term dictionary as columns in term_id order: ``ids`` and
+    ``df`` (int64) and the Arrow ``term`` column, from the table
+    ``pipelines.build.read_dictionary`` returns.  Each dict shard is
+    sorted by term_id but the shards interleave, so construction is one
+    argsort; a lookup is a ``searchsorted`` (the reference's one
+    dictionary probe per query term, InvertedIndex.java:150-153)."""
+
+    def __init__(self, table: pa.Table):
+        tid = table["term_id"].to_numpy()
+        order = np.argsort(tid, kind="stable")
+        self.ids: np.ndarray = tid[order]
+        self.df: np.ndarray = table["df"].to_numpy()[order]
+        self.term: pa.ChunkedArray = table["term"].take(order)
+
+    def rows(self, tids) -> np.ndarray:
+        """Row of each term_id, -1 where the dictionary has none."""
+        tids = np.asarray(tids, dtype=np.int64)
+        if not len(self.ids):  # an empty corpus
+            return np.full(len(tids), -1)
+        pos = np.searchsorted(self.ids, tids)
+        return np.where(self.ids.take(pos, mode="clip") == tids, pos, -1)
+
+    def df_of(self, tids) -> np.ndarray:
+        """df of each term_id, 0 where the dictionary has none."""
+        r = self.rows(tids)
+        if not len(self.df):  # an empty corpus
+            return np.zeros(len(r), np.int64)
+        return np.where(r >= 0, self.df.take(r), 0)
+
+    def lookup(self, terms) -> tuple[list[int], list[int]]:
+        """(term_id, df) of each term as Python ints, df 0 where the
+        dictionary has none."""
+        tids = [term_hash(t) for t in terms]
+        return tids, self.df_of(tids).tolist()
 
 
 @dataclass(frozen=True)
@@ -257,21 +301,26 @@ def _trigram_postings_parallel(
 class DictScanIndex:
     """Sorted dictionary + trigram postings for sub-linear pattern scans.
 
-    Built once per engine open (lazily, on the first pattern query) from
-    the term dictionary the engine already holds in memory; ~one posting
-    entry per (term, distinct trigram) pair.
-    """
+    Built once per engine open from ``terms`` (a list, or the engine's
+    ``TermDict.term`` column): ``terms_arr`` / ``lens_arr`` in term
+    order, ``order[i]`` the position in ``terms`` of ``terms_arr[i]``.
+    The trigram postings (~one entry per (term, distinct trigram) pair)
+    are built on first use."""
 
     # above this vocabulary size the trigram pass fans out as Ray tasks
     # (one per ~250k-term slice); below it the in-process loop wins
     PARALLEL_THRESHOLD = 500_000
 
-    def __init__(self, terms: list[str], *, parallel: bool | None = None):
-        self.terms: list[str] = sorted(terms)
-        self.terms_arr: np.ndarray = np.asarray(self.terms, dtype=object)
-        self.lens_arr: np.ndarray = np.fromiter(
-            (len(t) for t in self.terms), np.int64, len(self.terms)
+    def __init__(self, terms, *, parallel: bool | None = None):
+        col = terms if isinstance(terms, pa.ChunkedArray) else pa.chunked_array(
+            [pa.array(terms, pa.string())]
         )
+        # Arrow sorts strings by UTF-8 bytes, which is code point order
+        # (Python's str order)
+        self.order: np.ndarray = pc.sort_indices(col).to_numpy().astype(np.int64)
+        col = col.take(self.order)
+        self.terms_arr: np.ndarray = col.to_numpy()
+        self.lens_arr: np.ndarray = pc.utf8_length(col).to_numpy().astype(np.int64)
         if parallel is None:
             # auto-parallel only inside an ACTIVE Ray session: this
             # constructor must stay pure in-process for non-Ray callers
@@ -279,19 +328,22 @@ class DictScanIndex:
             import ray
 
             parallel = (
-                len(self.terms) >= self.PARALLEL_THRESHOLD
+                len(self.terms_arr) >= self.PARALLEL_THRESHOLD
                 and ray.is_initialized()
             )
-        self._post: dict[str, np.ndarray] = (
-            _trigram_postings_parallel(self.terms)
-            if parallel
-            else _trigram_postings(self.terms, 0)
-        )
+        self._parallel = parallel
+
+    @cached_property
+    def _post(self) -> dict[str, np.ndarray]:
+        """trigram → sorted ordinals into ``terms_arr``, built on first use."""
+        if self._parallel:
+            return _trigram_postings_parallel(self.terms_arr)
+        return _trigram_postings(self.terms_arr, 0)
 
     # -- candidate generation (lossless) ----------------------------------
     def prefix_range(self, prefix: str) -> tuple[int, int]:
         """Ordinal range [lo, hi) of terms starting with ``prefix``."""
-        lo = bisect_left(self.terms, prefix)
+        lo = bisect_left(self.terms_arr, prefix)
         # upper bound = the string SUCCESSOR of the prefix (increment
         # its last incrementable code point): every extension of prefix
         # sorts strictly below it.  Appending chr(0x10FFFF) instead
@@ -302,7 +354,8 @@ class DictScanIndex:
             if c < 0x10FFFF:
                 succ = prefix[:i] + chr(c + 1)
                 break
-        hi = bisect_left(self.terms, succ, lo) if succ else len(self.terms)
+        terms = self.terms_arr
+        hi = bisect_left(terms, succ, lo) if succ else len(terms)
         return lo, hi
 
     def candidates(self, plan: PatternPlan) -> np.ndarray | None:
@@ -355,14 +408,12 @@ class DictScanIndex:
         ascending; candidates from ``plan``, full scan if it prunes
         nothing.  Bit-identical to the naive scan by construction."""
         cand = self.candidates(plan)
-        if cand is None:
-            return [t for t in self.terms if rx.fullmatch(t)]
-        terms = self.terms
-        return [terms[i] for i in cand if rx.fullmatch(terms[i])]
+        terms = self.terms_arr if cand is None else self.terms_arr[cand]
+        return [t for t in terms if rx.fullmatch(t)]
 
     def scan_prefix(self, prefix: str) -> list[str]:
         lo, hi = self.prefix_range(prefix)
-        return self.terms[lo:hi]
+        return self.terms_arr[lo:hi].tolist()
 
 
 _EMPTY = np.empty(0, dtype=np.int64)

@@ -22,12 +22,28 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.dataset as pads
-import pyarrow.parquet as pq
 
 from torchtrajectory_ray.functions.proximity import near_cover_ok, span_chain_ok
 from torchtrajectory_ray.functions.scoring import make_scorer
 from torchtrajectory_ray.functions.text import get_tokenizer, term_hash
+from torchtrajectory_ray.state.dictscan import DictScanIndex, TermDict
 from torchtrajectory_ray.state.segment import SaltSearcher, _DocStore, live_mask
+
+
+def _merge_topk(parts, k: int) -> list[tuple[int, float]]:
+    """Heap-merge bucket-local ``(ids, scores)`` parts into the global
+    top-``k`` in (score desc, doc_id asc) order (K5: heap drain,
+    EdgeInvertedIndex.java:172-175) — the buckets are disjoint doc
+    ranges."""
+    merged = heapq.nlargest(
+        k,
+        (
+            (float(s), -int(d))
+            for ids, scores in parts
+            for d, s in zip(ids, scores)
+        ),
+    )
+    return [(-nd, s) for s, nd in merged]
 
 
 def _distinct_term_doc_counts(texts, tokenize) -> pd.Series:
@@ -213,6 +229,7 @@ class QueryEngine:
         from torchtrajectory_ray.pipelines.build import (
             first_positions,
             manifest_abspath,
+            read_dictionary,
         )
 
         legacy = first_positions(self.manifest)
@@ -227,21 +244,13 @@ class QueryEngine:
             )
         self._positions = bool(cfg.get("store_positions")) and not legacy
 
-        # term dictionary: term_id -> (df, max_tf, min_dl).  At 10^12-doc scale
-        # this table is itself term-sharded and probed with parquet
-        # predicate pushdown per query; at bench scale it fits the driver.
-
-        dict_tbls = [
-            pq.read_table(manifest_abspath(p, index_dir))
-            for p in self.manifest["dict_paths"]
-        ]
-        d = (
-            pa.concat_tables(dict_tbls).to_pandas()
-            if dict_tbls
-            else pd.DataFrame(
-                columns=["term", "term_id", "df", "max_tf", "min_dl"]
-            )  # empty corpus: no dictionary shards exist
-        )
+        # term dictionary: one term_id-sorted columnar table (term_id, df,
+        # term) that every term lookup and dictionary scan reads.  At
+        # 10^12-doc scale this table is itself term-sharded and probed
+        # with parquet predicate pushdown per query; at bench scale it
+        # fits the driver.
+        self.term_dict = TermDict(read_dictionary(self.manifest, index_dir))
+        self._dictscan = None  # lazy term-sorted scan index (dictscan.py)
         # forward-index shards from the MANIFEST (not os.walk): a stale
         # docs shard from a rebuild with a removed input, or a crashed
         # extend's orphan gen-* dir, would collide with live doc_id ranges
@@ -249,12 +258,6 @@ class QueryEngine:
         self.docs_paths = [
             manifest_abspath(p, index_dir) for p in self.manifest["docs_paths"]
         ]
-        self._terms = d["term"].tolist()  # dictionary scan support (J5)
-        self._terms_arr = None  # lazy numpy view for fuzzy scans
-        self._dictscan = None  # lazy trigram/prefix scan index (dictscan.py)
-        self._df = dict(zip(d["term_id"], d["df"]))
-        self._max_tf = dict(zip(d["term_id"], d["max_tf"]))
-        self._min_dl = dict(zip(d["term_id"], d["min_dl"]))
 
         # tombstones (Lucene-style soft deletes, pipelines.build.
         # delete_docs): a sorted id array masked out of every query path.
@@ -377,14 +380,10 @@ class QueryEngine:
     def resolve_terms(self, terms: list[str]) -> tuple[list[int], list[float]]:
         """Unique known term_ids + idf weights; unknown terms drop out
         (empty-posting edge case, InvertedIndex.java:150-153)."""
-        tids, idfs = [], []
-        for t in sorted(set(terms)):
-            tid = term_hash(t)
-            df = self._df.get(tid)
-            if df:
-                tids.append(tid)
-                idfs.append(float(self.scorer.idf(df, self.n_docs)))
-        return tids, idfs
+        tids, dfs = self.term_dict.lookup(sorted(set(terms)))
+        return [t for t, df in zip(tids, dfs) if df], [
+            float(self.scorer.idf(df, self.n_docs)) for df in dfs if df
+        ]
 
     def _fanout(self, method: str, *args, **kwargs) -> list:
         if self.distributed:
@@ -416,17 +415,7 @@ class QueryEngine:
         parts = self._fanout(
             "topk", tids, idfs, k, method, lang, ts_lo, ts_hi, require_all
         )
-        # heap-merge of bucket-local top-k (K5: heap drain,
-        # EdgeInvertedIndex.java:172-175) — buckets are disjoint doc ranges
-        merged = heapq.nlargest(
-            k,
-            (
-                (float(s), -int(d))
-                for ids, scores in parts
-                for d, s in zip(ids, scores)
-            ),
-        )
-        return [(-nd, s) for s, nd in merged]
+        return _merge_topk(parts, k)
 
     def explain_docs(
         self, query: str | list[str], doc_ids
@@ -438,16 +427,15 @@ class QueryEngine:
         page at once.  Rows carry raw tf / doclen plus idf and the
         scorer's contribution; per-doc contributions sum to exactly the
         ``topk`` score (same scorer, same global stats; tested)."""
-        import numpy as np
-
         terms = self._tokenize(query) if isinstance(query, str) else list(query)
         want = np.sort(np.asarray(list(doc_ids), dtype=np.int64))
         rows: list[dict] = []
-        for t in sorted(set(terms)):
-            tid = term_hash(t)
-            if not self._term_indexed(tid):
+        uniq = sorted(set(terms))
+        tids, dfs = self.term_dict.lookup(uniq)
+        indexed = self._term_indexed(tids)
+        for t, tid, df, ok in zip(uniq, tids, dfs, indexed):
+            if not ok:
                 continue
-            df = self._df[tid]
             idf = float(self.scorer.idf(df, self.n_docs))
             parts = self._fanout("term_doc_stats", tid, want)
             for ids, tfs, dls in parts:
@@ -497,15 +485,7 @@ class QueryEngine:
         parts = self._fanout(
             "topk", tids, idfs, k, "wand", lang, ts_lo, ts_hi, False, after
         )
-        merged = heapq.nlargest(
-            k,
-            (
-                (float(s), -int(d))
-                for ids, scores in parts
-                for d, s in zip(ids, scores)
-            ),
-        )
-        return [(-nd, s) for s, nd in merged]
+        return _merge_topk(parts, k)
 
     def topk_and(
         self, query: str | list[str], k: int = 10, **kw
@@ -529,32 +509,23 @@ class QueryEngine:
         weight, so pruning stays exact; a zero/negative boost fails loud
         (use bool_and_not for exclusion)."""
         items = sorted(boosts.items() if isinstance(boosts, dict) else boosts)
-        tids, idfs = [], []
         for term, boost in items:
             if boost <= 0:
                 raise ValueError(
                     f"topk_boosted: boost for {term!r} must be > 0 "
                     "(use bool_and_not to exclude terms)"
                 )
-            tid = term_hash(term)
-            df = self._df.get(tid)
-            if df:
-                tids.append(tid)
-                idfs.append(
-                    float(self.scorer.idf(df, self.n_docs)) * float(boost)
-                )
-        if not tids:
+        tids, dfs = self.term_dict.lookup([term for term, _ in items])
+        idfs = [
+            float(self.scorer.idf(df, self.n_docs)) * float(boost)
+            for df, (_, boost) in zip(dfs, items)
+            if df
+        ]
+        if not idfs:
             return []
+        tids = [t for t, df in zip(tids, dfs) if df]
         parts = self._fanout("topk", tids, idfs, k, method, *self._filt3(filt))
-        merged = heapq.nlargest(
-            k,
-            (
-                (float(s), -int(d))
-                for ids, scores in parts
-                for d, s in zip(ids, scores)
-            ),
-        )
-        return [(-nd, s) for s, nd in merged]
+        return _merge_topk(parts, k)
 
     def topk_synonyms(
         self, groups: list[list[str]], k: int = 10, **filt
@@ -569,30 +540,16 @@ class QueryEngine:
         group_tids: list[list[int]] = []
         weights: list[float] = []
         for g in groups:
-            tids, dfs = [], []
-            for t in sorted(set(g)):
-                tid = term_hash(t)
-                df = self._df.get(tid)
-                if df:
-                    tids.append(tid)
-                    dfs.append(df)
-            if tids:
-                group_tids.append(tids)
+            tids, dfs = self.term_dict.lookup(sorted(set(g)))
+            if any(dfs):
+                group_tids.append([t for t, df in zip(tids, dfs) if df])
                 weights.append(float(self.scorer.idf(max(dfs), self.n_docs)))
         if not group_tids:
             return []
         parts = self._fanout(
             "topk_groups", group_tids, weights, k, *self._filt3(filt)
         )
-        merged = heapq.nlargest(
-            k,
-            (
-                (float(s), -int(d))
-                for ids, scores in parts
-                for d, s in zip(ids, scores)
-            ),
-        )
-        return [(-nd, s) for s, nd in merged]
+        return _merge_topk(parts, k)
 
     @staticmethod
     def _filt3(filt: dict) -> tuple:
@@ -935,7 +892,8 @@ class QueryEngine:
         chunked tasks.  ``window`` / ``ordered`` as in
         :func:`_verify_docs`."""
         uniq = list(dict.fromkeys(terms))
-        if not uniq or not all(self._term_indexed(term_hash(t)) for t in uniq):
+        tids = [term_hash(t) for t in uniq]
+        if not uniq or not self._term_indexed(tids).all():
             return np.empty(0, dtype=np.int64)
         if self._positions:
             return self._pos_match(terms, window, ordered, filt)
@@ -975,21 +933,22 @@ class QueryEngine:
             parts = self._fanout(method, tids, window, *self._filt3(filt))
         return np.sort(np.concatenate(parts))
 
-    def _term_indexed(self, tid: int) -> bool:
-        """EXPLICIT dictionary membership.  A present row must carry
-        df ≥ 1: a df-0 dictionary entry is index corruption (the build
-        never writes one; compaction rewrites the dictionary), so it
-        fails loud instead of being silently conflated with an
-        unindexed term by ``.get()`` falsiness."""
-        df = self._df.get(tid)
-        if df is None:
-            return False
-        if df < 1:
+    def _term_indexed(self, tids) -> np.ndarray:
+        """EXPLICIT dictionary membership of each term_id.  A present row
+        must carry df ≥ 1: a df-0 dictionary entry is index corruption
+        (the build never writes one; compaction rewrites the
+        dictionary), so it fails loud instead of being silently
+        conflated with an unindexed term (``resolve_terms`` skips it)."""
+        rows = self.term_dict.rows(tids)
+        present = rows >= 0
+        bad = rows[present][self.term_dict.df[rows[present]] < 1]
+        if bad.size:
+            tid, df = self.term_dict.ids[bad[0]], self.term_dict.df[bad[0]]
             raise ValueError(
                 f"dictionary row for term_id {tid} has df={df}; the "
                 "dictionary and postings disagree — run check_index"
             )
-        return True
+        return present
 
     def _verify_phrase_distributed(
         self, cand: np.ndarray, terms: list[str], window: int | None, ordered: bool
@@ -1031,14 +990,13 @@ class QueryEngine:
         full = self.topk(query, k=(page + 1) * k, **kw)
         return full[page * k :]
 
-    def _scan_index(self):
-        """Lazy sorted-dictionary + trigram index for pattern scans
-        (state/dictscan.py); built once per engine open, amortized over
-        every regex / wildcard / prefix / suggest query."""
+    def _scan_index(self) -> DictScanIndex:
+        """Lazy term-sorted view of the dictionary for pattern scans
+        (state/dictscan.py); built once per engine open from the
+        ``term`` column, amortized over every regex / wildcard / prefix /
+        suggest / fuzzy query (its trigram postings on first use)."""
         if self._dictscan is None:
-            from torchtrajectory_ray.state.dictscan import DictScanIndex
-
-            self._dictscan = DictScanIndex(self._terms)
+            self._dictscan = DictScanIndex(self.term_dict.term)
         return self._dictscan
 
     def _regex_terms_scan(self, pattern: str) -> list[str]:
@@ -1047,7 +1005,8 @@ class QueryEngine:
         import re
 
         rx = re.compile(pattern)
-        return sorted(t for t in self._terms if rx.fullmatch(t))
+        terms = self.term_dict.term.to_pylist()
+        return sorted(t for t in terms if rx.fullmatch(t))
 
     def regex_terms(self, pattern: str) -> list[str]:
         """Dictionary scan by regular expression (FULL match), term-
@@ -1115,15 +1074,14 @@ class QueryEngine:
         the same dictionary scan as ``prefix_terms``
         (NameEdgeIdLookup.java:17-27) plus the df payload the dictionary
         already carries; no posting list is touched."""
-        terms = self.prefix_terms(prefix)  # term-ascending
-        df = np.asarray(
-            [int(self._df[term_hash(t)]) for t in terms], np.int64
-        )
+        scan = self._scan_index()
+        lo, hi = scan.prefix_range(prefix)  # term-ascending
+        df = self.term_dict.df[scan.order[lo:hi]]
         # stable sort on -df keeps the term-ascending order within ties
         order = np.argsort(-df, kind="stable")[:n]
         return pd.DataFrame(
             {
-                "term": pd.array([terms[i] for i in order], dtype=object),
+                "term": pd.array(scan.terms_arr[lo:hi][order], dtype=object),
                 "df": df[order],
             }
         )
@@ -1176,9 +1134,9 @@ class QueryEngine:
         if not toks:
             return []
         terms, counts = np.unique(np.asarray(toks, dtype=object), return_counts=True)
+        _, dfs = self.term_dict.lookup(terms)
         weighted = []
-        for term, tf in zip(terms, counts):
-            df = self._df.get(term_hash(term))
+        for term, tf, df in zip(terms, counts, dfs):
             if df:  # unindexed seed terms drop out, like resolve_terms
                 w = round(float(tf) * float(np.log(1.0 + self.n_docs / df)), 6)
                 weighted.append((w, term))
@@ -1224,11 +1182,9 @@ class QueryEngine:
         for txt in _read_texts(self.docs_paths, fb_ids)["text"].to_pylist():
             counts.update(self._tokenize(txt))
         orig = set(terms)
-        cand = [
-            (int(c), term)
-            for term, c in counts.items()
-            if term not in orig and self._term_indexed(term_hash(term))
-        ]
+        new = [term for term in counts if term not in orig]
+        indexed = self._term_indexed([term_hash(t) for t in new])
+        cand = [(int(counts[t]), t) for t, ok in zip(new, indexed) if ok]
         cand.sort(key=lambda p: (-p[0], p[1]))
         boosts = [(term, 1.0) for term in sorted(orig)] + [
             (term, float(beta)) for _, term in cand[:e]
@@ -1240,47 +1196,34 @@ class QueryEngine:
         dictionary term within Levenshtein distance ``max_edits`` of
         ``term`` (1 or 2 — Lucene's FuzzyQuery cap), term-ascending.
         Vectorized length-grouped scan (`functions/fuzzy.py`) over the
-        same dictionary ``prefix_terms`` scans — the NameEdgeIdLookup
-        shape with an approximate comparator.  k=1 keeps the closed-form
+        term-sorted arrays of the scan index ``prefix_terms`` uses — the
+        NameEdgeIdLookup shape with an approximate comparator; df comes
+        from the columnar dictionary.  k=1 keeps the closed-form
         split-point kernel; k=2 runs the min-plus-scan DP
-        (``editk_mask``), both behind the same lossless q-gram prune."""
+        (``editk_mask``), both behind the same lossless q-gram prune
+        (a query too short for the q-gram bound scans every term)."""
         if max_edits not in (1, 2):
             raise ValueError("max_edits must be 1 or 2")
         from torchtrajectory_ray.functions.fuzzy import edit1_mask, editk_mask
 
+        scan = self._scan_index()
+        # q-gram filter (dictscan.py): sub-linear, verified by the SAME
+        # edit kernel — lossless.  A short query has no q-gram bound and
+        # scans every term, so it never builds the trigram postings.
+        # Ordinals ascend, so the hits come out term-ascending.
+        cand = scan.fuzzy_candidates(term, k=max_edits)
+        arr, lens = scan.terms_arr, scan.lens_arr
+        if cand is not None:
+            arr, lens = arr[cand], lens[cand]
         if max_edits == 1:
-            mask = lambda arr, lens: edit1_mask(term, arr, lens)  # noqa: E731
+            hit = edit1_mask(term, arr, lens)
         else:
-            mask = lambda arr, lens: editk_mask(  # noqa: E731
-                term, arr, max_edits, lens
-            )
-        # the q-gram bound only exists for len >= 3+3k (dictscan.py), so
-        # a short query must not trigger the one-time trigram build
-        if len(term) >= 3 + 3 * max_edits:
-            scan = self._scan_index()
-            cand = scan.fuzzy_candidates(term, k=max_edits)
-            # q-gram filter (dictscan.py): sub-linear, verified by the
-            # SAME edit kernel — lossless
-            sub = scan.terms_arr[cand]
-            hits = sorted(sub[mask(sub, scan.lens_arr[cand])])
-        elif self._dictscan is not None:
-            # the scan index already holds the vocab arrays — no second
-            # vocabulary-sized copy (order is immaterial: sorted() below)
-            arr = self._dictscan.terms_arr
-            hits = sorted(arr[mask(arr, self._dictscan.lens_arr)])
-        else:
-            if self._terms_arr is None:
-                self._terms_arr = np.asarray(self._terms, dtype=object)
-                self._terms_lens = np.fromiter(
-                    (len(t) for t in self._terms), np.int64, len(self._terms)
-                )
-            hits = sorted(self._terms_arr[mask(self._terms_arr, self._terms_lens)])
+            hit = editk_mask(term, arr, max_edits, lens)
+        hits = np.flatnonzero(hit) if cand is None else cand[hit]
         return pd.DataFrame(
             {
-                "term": pd.array(hits, dtype=object),
-                "df": np.asarray(
-                    [int(self._df[term_hash(t)]) for t in hits], np.int64
-                ),
+                "term": pd.array(scan.terms_arr[hits], dtype=object),
+                "df": self.term_dict.df[scan.order[hits]],
             }
         )
 
@@ -1310,9 +1253,10 @@ class QueryEngine:
         if max_edits not in (1, 2):
             raise ValueError("max_edits must be 1 or 2")
         terms = self._tokenize(query) if isinstance(query, str) else list(query)
+        indexed = self._term_indexed([term_hash(t) for t in terms])
         corrected: set[str] = set()
-        for t in terms:
-            if self._term_indexed(term_hash(t)):
+        for t, ok in zip(terms, indexed):
+            if ok:
                 corrected.add(t)
                 continue
             hits = self.fuzzy_terms(t)
@@ -1443,9 +1387,9 @@ class QueryEngine:
                 {"term": [], "fg_df": [], "df": [], "lift": []}
             )
         n_fg, N = float(len(ids)), float(self.n_docs)
+        _, dfs = self.term_dict.lookup(fg.index.tolist())
         rows = []
-        for term, fg_df in fg.items():
-            df = self._df.get(term_hash(term))
+        for (term, fg_df), df in zip(fg.items(), dfs):
             if not df:
                 continue  # not an indexed term (can't happen for in-doc terms)
             rows.append(
@@ -1655,6 +1599,7 @@ class QueryEngine:
         tids, idfs = self.resolve_terms(terms)
         tid2term = {term_hash(t): t for t in set(terms)}
         idf_by_tid = dict(zip(tids, idfs))
+        df_by_tid = dict(zip(tids, self.term_dict.df_of(tids).tolist()))
         parts = self._fanout("doc_term_stats", tids, int(doc_id))
         found = sorted(
             (t for part in parts for t in part)
@@ -1677,7 +1622,7 @@ class QueryEngine:
                     "term": tid2term[tid],
                     "tf": int(tf),
                     "doclen": int(dl),
-                    "df": int(self._df[tid]),
+                    "df": df_by_tid[tid],
                     "idf": float(idf),
                     "tf_norm": tfn,
                     "contribution": float(c),
